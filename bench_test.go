@@ -291,34 +291,6 @@ func BenchmarkInterp(b *testing.B) {
 				}
 			}
 		})
-		b.Run(name+"/closure", func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			m := &interp.ClosureMachine{Code: code, Input: input}
-			// The warm-up run also compiles the closure graph, so the
-			// timed loop measures pure execution.
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/closure-nofuse", func(b *testing.B) {
-			b.SetBytes(int64(len(input)))
-			m := &interp.ClosureMachine{Code: unfused, Input: input}
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		b.Run(name+"/reference", func(b *testing.B) {
 			b.SetBytes(int64(len(input)))
 			for i := 0; i < b.N; i++ {
@@ -365,16 +337,6 @@ func BenchmarkSimWithPredictors(b *testing.B) {
 	b.Run("nofuse", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{NoFuse: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The closure variant re-decodes and re-compiles per iteration (the
-	// sim.Run path decodes fresh), so it times end-to-end measurement
-	// including compilation — the honest comparison for one-shot runs.
-	b.Run("closure", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -57,7 +57,6 @@ import (
 	"branchreorder/internal/bench/storenet"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
-	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
 
@@ -100,8 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheGC   = fs.Duration("cache-gc", 0, "before running, evict -cache-dir entries older than this age")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		noFuse    = fs.Bool("no-fuse", false, "measure on the unfused decode (superinstructions off) — a differential-debugging escape hatch; results are byte-identical, only speed changes")
-		engName   = fs.String("engine", "fast", "execution backend for measurements and training runs: fast, closure, or reference — results are byte-identical, only speed and the engine counters change")
 		superinst = fs.Bool("superinst-report", false, "mine dynamic adjacent-op patterns over the selected workloads plus random CFGs and print the ranked table with the curated fusion set's coverage")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -148,10 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	measureEngine, err := sim.ParseEngine(*engName)
-	if err != nil {
-		return fail(err)
-	}
 	farmRoles := 0
 	for _, u := range []string{*enqueue, *workerURL, *collect} {
 		if u != "" {
@@ -159,6 +152,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	switch {
+	case *table != 0 && (*table < 2 || *table > 8):
+		return fail(fmt.Errorf("no table %d (have 2-8)", *table))
+	case *figure != 0 && (*figure < 11 || *figure > 13):
+		return fail(fmt.Errorf("no figure %d (have 11-13)", *figure))
+	case *table != 0 && *figure != 0:
+		return fail(fmt.Errorf("-table and -figure each select one experiment; pick one"))
 	case farmRoles > 1:
 		return fail(fmt.Errorf("-enqueue, -worker and -collect are different farm roles; pick one"))
 	case (*enqueue != "" || *workerURL != "") && (*table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0):
@@ -193,8 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-profile-merge persists profiles across runs; add -cache-dir DIR or -store-url URL"))
 	case *superinst && (*ablation || *profStudy || *table != 0 || *figure != 0 || *jsonOut != "" || *export != "" || *merge != "" || shardN > 0 || farmRoles > 0):
 		return fail(fmt.Errorf("-superinst-report renders its own table from fresh mining runs; drop the other modes"))
-	case *superinst && *noFuse:
-		return fail(fmt.Errorf("-superinst-report mines the unfused stream already; drop -no-fuse"))
 	}
 	var rates []int
 	if *profStudy {
@@ -248,7 +245,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		progress = nil
 	}
 	engine := bench.NewEngine(*jobs, progress)
-	engine.SetMeasure(sim.Options{NoFuse: *noFuse, Engine: measureEngine})
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir)
 		if err != nil {
@@ -329,10 +325,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if st.DecodedOps > 0 {
 				fmt.Fprintf(stderr, "brbench: superinstructions: %d fused sites absorbing %d of %d decoded ops (%.1f%% static coverage) across fresh builds\n",
 					st.FusedSites, st.FusedOps, st.DecodedOps, 100*float64(st.FusedOps)/float64(st.DecodedOps))
-			}
-			if st.CompiledFuncs > 0 || st.ClosureFallbacks > 0 {
-				fmt.Fprintf(stderr, "brbench: closure compiler: %d funcs compiled into %d closure blocks, %d declined, across fresh builds\n",
-					st.CompiledFuncs, st.ClosureBlocks, st.ClosureFallbacks)
 			}
 			if len(st.BuildSeconds) > 0 {
 				names := make([]string, 0, len(st.BuildSeconds))

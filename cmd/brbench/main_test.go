@@ -92,6 +92,37 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// A bad experiment selector must fail before any build runs or any
+// cache tier is written, not after paying for the whole suite.
+func TestBadSelectorFailsBeforeBuilding(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-table", "99"}, "no table 99"},
+		{[]string{"-table", "1"}, "no table 1"},
+		{[]string{"-figure", "9"}, "no figure 9"},
+		{[]string{"-figure", "14"}, "no figure 14"},
+		{[]string{"-table", "4", "-figure", "11"}, "pick one"},
+	} {
+		cache := filepath.Join(t.TempDir(), "cache")
+		args := append([]string{"-workloads", "wc", "-cache-dir", cache}, tc.args...)
+		out, errw, code := capture(t, args...)
+		if code != 1 {
+			t.Errorf("%v: exit %d, want 1", tc.args, code)
+		}
+		if !strings.Contains(errw, tc.want) {
+			t.Errorf("%v: stderr %q lacks %q", tc.args, errw, tc.want)
+		}
+		if strings.Contains(errw, "building") || out != "" {
+			t.Errorf("%v: ran the suite before rejecting the selector: %q", tc.args, errw)
+		}
+		if _, err := os.Stat(cache); !os.IsNotExist(err) {
+			t.Errorf("%v: touched -cache-dir before rejecting the selector", tc.args)
+		}
+	}
+}
+
 // Two exported shards merged back together must render byte-identically
 // to a single-process run, with zero builds in the merge step.
 func TestShardExportMergeMatchesSingleProcess(t *testing.T) {

@@ -47,16 +47,11 @@ func main() {
 		trainBuiltin = flag.Bool("train-builtin", false, "use the workload's built-in training input")
 		runBuiltin   = flag.Bool("run-builtin", false, "execute on the workload's built-in test input")
 		compare      = flag.Bool("compare", false, "run both baseline and reordered and report both")
-		engName      = flag.String("engine", "fast", "execution backend for training and -run: fast, closure, or reference — results are byte-identical, only speed changes")
 	)
 	flag.Parse()
 
 	set, err := parseSet(*setName)
 	check(err)
-
-	eng, err := interp.ParseEngine(*engName)
-	check(err)
-	execEngine = eng
 
 	src, train, test, err := loadInputs(*wl, *trainFile, *runFile, *trainBuiltin, *runBuiltin)
 	check(err)
@@ -91,14 +86,10 @@ func main() {
 		return
 	}
 
-	build, err := pipeline.BuildWith(src, train, opts, eng)
+	build, err := pipeline.Build(src, train, opts)
 	check(err)
 	report(build, *seqs, *dump, test, *compare)
 }
-
-// execEngine is the -engine selection, consulted by every program
-// execution and training run. Results are engine-independent.
-var execEngine interp.Engine
 
 // report prints the requested views of a finished build and runs it.
 func report(build *pipeline.BuildResult, seqs, dump bool, test []byte, compare bool) {
@@ -143,7 +134,6 @@ func runFirstPass(src string, opts pipeline.Options, train []byte, path string) 
 	if err != nil {
 		return err
 	}
-	ins.Exec = execEngine
 	prof, orProf, err := ins.Train(train)
 	if err != nil {
 		return err
@@ -237,7 +227,7 @@ func listSequences(prog *ir.Program) {
 }
 
 func execute(label string, prog *ir.Program, input []byte) {
-	ret, st, out, err := interp.Exec(execEngine, prog, nil, input, nil, nil)
+	ret, st, out, err := interp.Exec(interp.EngineFast, prog, nil, input, nil, nil)
 	check(err)
 	os.Stdout.Write(out)
 	fmt.Fprintf(os.Stderr,

@@ -256,23 +256,6 @@ func run(out string) error {
 				}
 			}
 		}))
-		// The closure-compiled engine on the same decoded code. The
-		// warm-up run also compiles the closure graph, so the loop times
-		// steady-state execution — the fast vs closure pair within one
-		// document is the dispatch-elimination speedup claim.
-		record("Interp/"+name+"/closure", testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			m := &interp.ClosureMachine{Code: code, Input: input}
-			if _, err := m.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
 		record("Interp/"+name+"/reference", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -345,20 +328,8 @@ func run(out string) error {
 			}
 		}
 	}))
-	// End-to-end measurement on the closure engine, decode + compile
-	// included each iteration — the one-shot sim.Run cost a caller of
-	// -engine closure actually pays.
-	record("SimWithPredictors/wc-closure", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(front.Prog, input, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// The same end-to-end pair on the suite's heaviest workload, where
-	// execution (not the predictor bank) dominates the measurement: this
-	// is where the closure engine's end-to-end win shows.
+	// The same end-to-end measurement on the suite's heaviest workload,
+	// where execution (not the predictor bank) dominates.
 	sortFront, sortW, err := frontend("sort")
 	if err != nil {
 		return err
@@ -368,14 +339,6 @@ func run(out string) error {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := sim.Run(sortFront.Prog, sortInput, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	record("SimWithPredictors/sort-closure", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunWith(sortFront.Prog, sortInput, nil, sim.Options{Engine: sim.EngineClosure}); err != nil {
 				b.Fatal(err)
 			}
 		}

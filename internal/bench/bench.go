@@ -82,7 +82,7 @@ func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b, sim.Options{})
+	return measureBuild(w, opts, b)
 }
 
 // RunStaged is RunOpts through a stage cache: the frontend and training
@@ -90,30 +90,23 @@ func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 // and only the finalize stage runs per variant. Output is byte-identical
 // to RunOpts.
 func RunStaged(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
-	return RunStagedWith(cache, w, opts, sim.Options{})
-}
-
-// RunStagedWith is RunStaged with explicit measurement-engine options
-// (e.g. superinstruction fusion off). Measured results are identical
-// for any mo; only wall-clock and the Fusion report change.
-func RunStagedWith(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options, mo sim.Options) (*ProgramRun, error) {
 	b, err := cache.Build(w.Source, TrainInput(w, opts), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b, mo)
+	return measureBuild(w, opts, b)
 }
 
 // measureBuild runs both executables of a finished build on the test
 // input and assembles the ProgramRun every table and figure consumes.
-func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult, mo sim.Options) (*ProgramRun, error) {
+func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult) (*ProgramRun, error) {
 	set := opts.Switch
 	test := w.Test()
-	base, err := sim.RunWith(b.Baseline, test, nil, mo)
+	base, err := sim.Run(b.Baseline, test, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, err)
 	}
-	reord, err := sim.RunWith(b.Reordered, test, nil, mo)
+	reord, err := sim.Run(b.Reordered, test, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v) reordered: %w", w.Name, set, err)
 	}

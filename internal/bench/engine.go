@@ -13,7 +13,6 @@ import (
 	"branchreorder/internal/bench/storenet"
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
-	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
 
@@ -48,12 +47,6 @@ type Engine struct {
 	sem      chan struct{}
 	disk     *store.Store     // optional second cache tier; nil means memory-only
 	remote   *storenet.Client // optional third tier: a fleet-shared brstored server
-
-	// Measure configures the measurement engine for every fresh build
-	// (e.g. superinstruction fusion off, for `brbench -no-fuse`). Set it
-	// before the first Get; measured results are identical for any
-	// value, so cached entries stay valid across settings.
-	Measure sim.Options
 
 	// stages memoizes the build pipeline's cacheable stages (frontend,
 	// detect+train) across jobs, so the ablation grid performs one
@@ -100,15 +93,6 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 // experiments (e.g. pipeline.AutoBuildWith) can share its frontends and
 // training runs.
 func (e *Engine) StageCache() *pipeline.StageCache { return e.stages }
-
-// SetMeasure configures the measurement options and steers the stage
-// cache's training runs onto the same execution engine. Call it before
-// the first Get. Results and cache entries are identical for any value;
-// only wall-clock and the engine-descriptive counters change.
-func (e *Engine) SetMeasure(mo sim.Options) {
-	e.Measure = mo
-	e.stages.Exec = mo.Engine
-}
 
 // Jobs reports the worker-pool bound.
 func (e *Engine) Jobs() int { return e.jobs }
@@ -288,7 +272,7 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 	e.mu.Unlock()
 	e.logf("building %-8s heuristic set %v%s\n", w.Name, opts.Switch, optsSuffix(opts))
 	start := time.Now()
-	ent.run, ent.err = RunStagedWith(e.stages, w, opts, e.Measure)
+	ent.run, ent.err = RunStaged(e.stages, w, opts)
 	if ent.err == nil {
 		elapsed := time.Since(start).Seconds()
 		e.mu.Lock()
@@ -302,9 +286,6 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 		e.stats.FusedSites += ent.run.Base.Fusion.Fused + ent.run.Reord.Fusion.Fused
 		e.stats.FusedOps += ent.run.Base.Fusion.Inside + ent.run.Reord.Fusion.Inside
 		e.stats.DecodedOps += ent.run.Base.Fusion.Ops + ent.run.Reord.Fusion.Ops
-		e.stats.CompiledFuncs += ent.run.Base.Compile.CompiledFuncs + ent.run.Reord.Compile.CompiledFuncs
-		e.stats.ClosureBlocks += ent.run.Base.Compile.ClosureBlocks + ent.run.Reord.Compile.ClosureBlocks
-		e.stats.ClosureFallbacks += ent.run.Base.Compile.Fallbacks + ent.run.Reord.Compile.Fallbacks
 		e.mu.Unlock()
 	}
 	if ent.err == nil && (e.disk != nil || e.remote != nil) {

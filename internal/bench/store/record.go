@@ -47,11 +47,6 @@ type Measurement struct {
 	// on or off, which is why records written before the field existed
 	// (or with fusion off) remain valid without a schema bump.
 	Fusion *interp.FusionStats `json:"fusion,omitempty"`
-
-	// Compile describes the measuring engine's closure compilation,
-	// absent unless the closure engine ran. Like Fusion it never
-	// affects record validity: results are engine-independent.
-	Compile *interp.CompileStats `json:"compile,omitempty"`
 }
 
 // FromSim converts a measurement to its serializable form.
@@ -70,10 +65,6 @@ func FromSim(m *sim.Measurement) *Measurement {
 		f := m.Fusion
 		out.Fusion = &f
 	}
-	if m.Compile != (interp.CompileStats{}) {
-		c := m.Compile
-		out.Compile = &c
-	}
 	return out
 }
 
@@ -88,9 +79,6 @@ func (m *Measurement) Sim() *sim.Measurement {
 	}
 	if m.Fusion != nil {
 		out.Fusion = *m.Fusion
-	}
-	if m.Compile != nil {
-		out.Compile = *m.Compile
 	}
 	return out
 }

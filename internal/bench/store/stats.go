@@ -56,15 +56,6 @@ type TierStats struct {
 	FusedOps   int `json:"fusedOps,omitempty"`
 	DecodedOps int `json:"decodedOps,omitempty"`
 
-	// Closure-compiler counters, aggregated over freshly built
-	// executables only (the FusedSites discipline): functions compiled
-	// to closure graphs, non-empty basic blocks those graphs hold, and
-	// functions the compiler declined. All stay zero unless the closure
-	// engine measured the run.
-	CompiledFuncs    int `json:"compiledFuncs,omitempty"`
-	ClosureBlocks    int `json:"closureBlocks,omitempty"`
-	ClosureFallbacks int `json:"closureFallbacks,omitempty"`
-
 	// BuildSeconds is the wall-clock cost of the jobs behind Builds,
 	// keyed by workload and summed over every configuration built for
 	// it. Cache hits add nothing, so a BENCH trajectory over exports
@@ -96,9 +87,6 @@ func (s *TierStats) Add(o TierStats) {
 	s.FusedSites += o.FusedSites
 	s.FusedOps += o.FusedOps
 	s.DecodedOps += o.DecodedOps
-	s.CompiledFuncs += o.CompiledFuncs
-	s.ClosureBlocks += o.ClosureBlocks
-	s.ClosureFallbacks += o.ClosureFallbacks
 	for w, sec := range o.BuildSeconds {
 		if s.BuildSeconds == nil {
 			s.BuildSeconds = make(map[string]float64, len(o.BuildSeconds))

@@ -1,9 +1,8 @@
-// Package equiv differentially tests the three execution engines
-// against each other: the block-walking reference interpreter
-// (interp.Machine), the flat-decoded fast engine (interp.Decode +
-// interp.FastMachine) that the measurement pipeline runs on by default,
-// and the closure-compiled engine (interp.ClosureMachine) behind
-// sim.Options{Engine: EngineClosure}.
+// Package equiv differentially tests the two execution engines against
+// each other: the block-walking reference interpreter (interp.Machine)
+// and the flat-decoded fast engine (interp.DecodeWith +
+// interp.FastMachine) that the measurement pipeline runs on, with and
+// without superinstruction fusion.
 //
 // The contract under test is the one DESIGN.md states for the fast
 // engine: on every program and input, both engines produce the same
@@ -15,15 +14,16 @@
 // engine charges the step budget block-granularly, so the abort point
 // and hence partial output and statistics may differ).
 //
-// The closure engine is held to a stricter contract: it shares the fast
-// engine's block-granular execution model exactly, so against the fast
-// run of the same decode (fused or unfused, hooked or plain) everything
-// must be identical — trap text and PC, trap-point statistics, and hook
-// streams included.
+// Fusion is held to a stricter contract: the fused and unfused decodes
+// share one block-granular execution model, so everything must be
+// identical between them — trap text and PC, trap-point statistics,
+// and hook streams included — and a measurement through
+// sim.Options{NoFuse: true} must equal the fused one exactly.
 //
 // Two test layers enforce this: the full workload suite (baseline and
 // reordered executables, measured end-to-end through sim.Run against a
-// replica of the pre-rewrite measurement loop), and randomized IR
-// programs from a CFG generator, on held-out and fuzzed inputs, with a
-// go-fuzz entry point (FuzzEngines) for continued exploration.
+// replica of the pre-rewrite measurement loop and against the unfused
+// decode), and randomized IR programs from a CFG generator, on held-out
+// and fuzzed inputs, with a go-fuzz entry point (FuzzEngines) for
+// continued exploration.
 package equiv

@@ -75,35 +75,24 @@ func checkMeasurement(t *testing.T, label string, prog *ir.Program, input []byte
 		}
 	}
 
-	// Third side of the oracle: the closure engine — fused and unfused —
-	// must reproduce the fast measurement byte for byte, and actually
-	// compile (a silent fallback would run FastMachine and prove
-	// nothing).
-	for _, mo := range []sim.Options{
-		{Engine: sim.EngineClosure},
-		{Engine: sim.EngineClosure, NoFuse: true},
-	} {
-		tag := label + "/closure"
-		if mo.NoFuse {
-			tag += "-nofuse"
-		}
-		clos, err := sim.RunWith(prog, input, nil, mo)
-		if err != nil {
-			t.Fatalf("%s: sim.RunWith: %v", tag, err)
-		}
-		if clos.Ret != got.Ret || clos.Output != got.Output {
-			t.Errorf("%s: result diverged from fast engine", tag)
-		}
-		if clos.Stats != got.Stats {
-			t.Errorf("%s: stats\nclosure: %+v\nfast:    %+v", tag, clos.Stats, got.Stats)
-		}
-		for name, w := range got.Mispredicts {
-			if clos.Mispredicts[name] != w {
-				t.Errorf("%s: %s mispredicts closure=%d fast=%d", tag, name, clos.Mispredicts[name], w)
-			}
-		}
-		if clos.Compile.CompiledFuncs == 0 || clos.Compile.Fallbacks != 0 {
-			t.Errorf("%s: closure compiler did not engage: %+v", tag, clos.Compile)
+	// The unfused decode must reproduce the fused measurement exactly:
+	// superinstruction fusion changes dispatch, never results.
+	unfused, err := sim.RunWith(prog, input, nil, sim.Options{NoFuse: true})
+	if err != nil {
+		t.Fatalf("%s/nofuse: sim.RunWith: %v", label, err)
+	}
+	if unfused.Ret != got.Ret || unfused.Output != got.Output {
+		t.Errorf("%s/nofuse: result diverged from the fused run", label)
+	}
+	if unfused.Stats != got.Stats {
+		t.Errorf("%s/nofuse: stats\nunfused: %+v\nfused:   %+v", label, unfused.Stats, got.Stats)
+	}
+	if len(unfused.Mispredicts) != len(got.Mispredicts) {
+		t.Fatalf("%s/nofuse: %d predictor configs, want %d", label, len(unfused.Mispredicts), len(got.Mispredicts))
+	}
+	for name, w := range got.Mispredicts {
+		if unfused.Mispredicts[name] != w {
+			t.Errorf("%s/nofuse: %s mispredicts unfused=%d fused=%d", label, name, unfused.Mispredicts[name], w)
 		}
 	}
 }

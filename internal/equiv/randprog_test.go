@@ -35,69 +35,42 @@ func hooks(r *engineRun) (func(int, bool), func(int, int, int64)) {
 		}
 }
 
-// runBoth executes p on every engine and decode variant, applying the
-// full three-way oracle: the reference machine against the fast engine
-// under the lenient contract (compareRuns), the fast engine against
-// itself across decodes, and the closure engine against the fast engine
-// of the same decode under strict identity (compareSame) — for both the
-// hooked variant (branch/prof streams attached) and the hook-free plain
-// variant, whose specialized closure bodies only compile without hooks.
+// runBoth executes p on both engines and both decodes: the reference
+// machine against the fast engine under the lenient contract
+// (compareRuns, applied by the caller), and the fused fast engine
+// against the unfused one under strict identity (compareSame).
 func runBoth(t testing.TB, p *ir.Program, input []byte) (ref, fast engineRun) {
-	fused := interp.DecodeOptions{Fuse: true}
-	nofuse := interp.DecodeOptions{}
-	ref = runOn(t, p, input, fused, interp.EngineReference, true)
-	fast = runOn(t, p, input, fused, interp.EngineFast, true)
+	ref = runOn(t, p, input, nil)
+	fast = runOn(t, p, input, &interp.DecodeOptions{Fuse: true})
 	// The unfused decode must behave identically to the fused one; any
 	// divergence is a fusion bug, caught here across every seed and every
 	// fuzz input the suite explores.
-	unfused := runOn(t, p, input, nofuse, interp.EngineFast, true)
-	compareRuns(t, "fused-vs-unfused", fast, unfused)
-	// Closure engine, -no-fuse × engine cross-product: the compiled
-	// graph must replicate the fast engine exactly — same trap text and
-	// PC, same trap-point stats, same hook streams.
-	compareSame(t, "closure-vs-fast",
-		fast, runOn(t, p, input, fused, interp.EngineClosure, true))
-	compareSame(t, "closure-vs-fast/nofuse",
-		unfused, runOn(t, p, input, nofuse, interp.EngineClosure, true))
-	compareSame(t, "closure-vs-fast/plain",
-		runOn(t, p, input, fused, interp.EngineFast, false),
-		runOn(t, p, input, fused, interp.EngineClosure, false))
+	compareSame(t, "fused-vs-unfused", fast, runOn(t, p, input, &interp.DecodeOptions{}))
 	return ref, fast
 }
 
-// runOn executes p once on the chosen engine. hooked attaches the
-// branch/prof recorders; without them the closure engine compiles its
-// specialized plain bodies.
-func runOn(t testing.TB, p *ir.Program, input []byte, opts interp.DecodeOptions, e interp.Engine, hooked bool) (r engineRun) {
+// runOn executes p once with the branch/prof recorders attached: on the
+// reference machine when opts is nil, else on the fast engine over a
+// decode with opts.
+func runOn(t testing.TB, p *ir.Program, input []byte, opts *interp.DecodeOptions) (r engineRun) {
 	t.Helper()
-	var onBranch func(int, bool)
-	var onProf func(int, int, int64)
-	if hooked {
-		onBranch, onProf = hooks(&r)
-	}
+	onBranch, onProf := hooks(&r)
 	var ret int64
 	var err error
-	if e == interp.EngineReference {
+	if opts == nil {
 		m := &interp.Machine{Prog: p, Input: input, MaxSteps: randMaxSteps,
 			OnBranch: onBranch, OnProf: onProf}
 		ret, err = m.Run()
 		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	} else {
-		code, derr := interp.DecodeWith(p, opts)
+		code, derr := interp.DecodeWith(p, *opts)
 		if derr != nil {
 			t.Fatalf("decode: %v", derr)
 		}
-		if e == interp.EngineClosure {
-			m := &interp.ClosureMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
-				OnBranch: onBranch, OnProf: onProf}
-			ret, err = m.Run()
-			r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
-		} else {
-			m := &interp.FastMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
-				OnBranch: onBranch, OnProf: onProf}
-			ret, err = m.Run()
-			r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
-		}
+		m := &interp.FastMachine{Code: code, Input: input, MaxSteps: randMaxSteps,
+			OnBranch: onBranch, OnProf: onProf}
+		ret, err = m.Run()
+		r.ret, r.out, r.stats = ret, m.Output.String(), m.Stats
 	}
 	if err != nil {
 		r.err = err.Error()
@@ -158,29 +131,29 @@ func compareRuns(t testing.TB, label string, ref, fast engineRun) {
 
 // compareSame demands full identity — return value, output, error text
 // (trap kind and PC included), hook streams, and Stats even at trap
-// points. The fast and closure engines share one execution contract
-// down to the block-granular step budget, so unlike compareRuns nothing
-// is forgiven.
-func compareSame(t testing.TB, label string, a, b engineRun) {
+// points. Fused and unfused decodes share one execution contract down
+// to the block-granular step budget, so unlike compareRuns nothing is
+// forgiven.
+func compareSame(t testing.TB, label string, fused, unfused engineRun) {
 	t.Helper()
-	if a.err != b.err {
-		t.Errorf("%s: errors differ: fast=%q closure=%q", label, a.err, b.err)
+	if fused.err != unfused.err {
+		t.Errorf("%s: errors differ: fused=%q unfused=%q", label, fused.err, unfused.err)
 		return
 	}
-	if a.ret != b.ret {
-		t.Errorf("%s: ret fast=%d closure=%d", label, a.ret, b.ret)
+	if fused.ret != unfused.ret {
+		t.Errorf("%s: ret fused=%d unfused=%d", label, fused.ret, unfused.ret)
 	}
-	if a.out != b.out {
-		t.Errorf("%s: output fast=%q closure=%q", label, a.out, b.out)
+	if fused.out != unfused.out {
+		t.Errorf("%s: output fused=%q unfused=%q", label, fused.out, unfused.out)
 	}
-	if a.stats != b.stats {
-		t.Errorf("%s: stats\nfast:    %+v\nclosure: %+v", label, a.stats, b.stats)
+	if fused.stats != unfused.stats {
+		t.Errorf("%s: stats\nfused:   %+v\nunfused: %+v", label, fused.stats, unfused.stats)
 	}
-	if !eqInt64s(a.branches, b.branches) {
+	if !eqInt64s(fused.branches, unfused.branches) {
 		t.Errorf("%s: branch streams differ (%d vs %d events)",
-			label, len(a.branches)/2, len(b.branches)/2)
+			label, len(fused.branches)/2, len(unfused.branches)/2)
 	}
-	if !eqInt64s(a.profs, b.profs) {
+	if !eqInt64s(fused.profs, unfused.profs) {
 		t.Errorf("%s: prof streams differ", label)
 	}
 }

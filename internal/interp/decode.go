@@ -197,18 +197,12 @@ type dfunc struct {
 	blockStart []int32
 }
 
-// Code is a whole program compiled for the fast engine. A Code is
-// immutable after Decode and safe for concurrent FastMachines. The
-// closure engine's compiled variants (compile.go) are cached here
-// lazily under closOnce, so a Code stays safe for concurrent
-// ClosureMachines too.
+// Code is a whole program decoded for the fast engine. A Code is
+// immutable after Decode and safe for concurrent FastMachines.
 type Code struct {
 	prog  *ir.Program
 	funcs []dfunc
 	main  int
-
-	closOnce closOncePair
-	clos     [2]*compiledProg // plain, hooked
 }
 
 // Prog returns the program the code was decoded from.
@@ -219,8 +213,8 @@ type DecodeOptions struct {
 	// Fuse enables superinstruction fusion: curated adjacent-op runs
 	// within a block collapse into single dispatch ops. Execution is
 	// observably identical either way (same Stats, output, traps and
-	// event streams); the escape hatch exists so differential debugging
-	// can bisect fused vs unfused execution (`brbench -no-fuse`).
+	// event streams); the unfused decode is the differential oracle
+	// that internal/equiv holds fused execution to.
 	Fuse bool
 }
 

@@ -1,13 +1,9 @@
 package interp
 
-import (
-	"fmt"
+import "branchreorder/internal/ir"
 
-	"branchreorder/internal/ir"
-)
-
-// Engine names one of the package's execution backends. All engines are
-// observably equivalent — same Stats, Output, return value, hook
+// Engine names one of the package's execution backends. Both engines
+// are observably equivalent — same Stats, Output, return value, hook
 // sequences and traps — so the choice never affects results, only
 // wall-clock speed. The zero value is the fast interpreter, the
 // package's default backend.
@@ -16,46 +12,25 @@ type Engine int
 const (
 	// EngineFast is the flat-decoded direct interpreter (FastMachine).
 	EngineFast Engine = iota
-	// EngineClosure is the closure-compiled backend (ClosureMachine):
-	// each decoded function is translated once into a graph of
-	// pre-bound closures executed past the dispatch loop.
-	EngineClosure
 	// EngineReference is the block-walking reference interpreter
 	// (Machine), the slow semantic baseline.
 	EngineReference
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineClosure:
-		return "closure"
-	case EngineReference:
+	if e == EngineReference {
 		return "reference"
 	}
 	return "fast"
 }
 
-// ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the default fast engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "fast":
-		return EngineFast, nil
-	case "closure":
-		return EngineClosure, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want fast, closure, or reference)", s)
-}
-
 // Exec runs prog once under the selected engine with the given hooks
 // and returns the run's result, statistics and program output. The
-// reference engine walks prog directly; the fast and closure engines
-// execute code, decoding prog (with fusion) when code is nil. Exec is
-// the one-shot form shared by training runs, auto-evaluation and CLI
-// execution; callers that reuse machines or need fusion/compile reports
-// construct the machines themselves.
+// reference engine walks prog directly; the fast engine executes code,
+// decoding prog (with fusion) when code is nil. Exec is the one-shot
+// form shared by training runs, auto-evaluation and CLI execution;
+// callers that reuse machines or need fusion reports construct the
+// machines themselves.
 func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 	onBranch func(id int, taken bool), onProf func(seqID, sub int, value int64)) (int64, Stats, []byte, error) {
 	if e == EngineReference {
@@ -69,11 +44,6 @@ func Exec(e Engine, prog *ir.Program, code *Code, input []byte,
 		if err != nil {
 			return 0, Stats{}, nil, err
 		}
-	}
-	if e == EngineClosure {
-		m := &ClosureMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
-		ret, err := m.Run()
-		return ret, m.Stats, m.Output.Bytes(), err
 	}
 	m := &FastMachine{Code: code, Input: input, OnBranch: onBranch, OnProf: onProf}
 	ret, err := m.Run()

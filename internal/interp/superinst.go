@@ -139,14 +139,11 @@ var baseDopName = [nBaseDop]string{
 	opRet:      "ret",
 }
 
-// fusedDopName labels fused opcodes ("add+ld+cmpbr"), fusedDopLen
-// records each one's pattern length, and fusedDopSeq its base-op
-// sequence (the closure compiler decomposes superinstructions back
-// into base ops), all derived from the pattern list.
+// fusedDopName labels fused opcodes ("add+ld+cmpbr") and fusedDopLen
+// records each one's pattern length, both derived from the pattern list.
 var (
 	fusedDopName = map[dop]string{}
 	fusedDopLen  = map[dop]int{}
-	fusedDopSeq  = map[dop][]dop{}
 )
 
 func init() {
@@ -161,7 +158,6 @@ func init() {
 		}
 		fusedDopName[p.op] = g.String()
 		fusedDopLen[p.op] = len(p.seq)
-		fusedDopSeq[p.op] = p.seq
 	}
 }
 
@@ -169,13 +165,6 @@ func patGram(seq []dop) gram {
 	g := gram{n: uint8(len(seq))}
 	copy(g.ops[:], seq)
 	return g
-}
-
-func dopLabel(op dop) string {
-	if op < nBaseDop {
-		return baseDopName[op]
-	}
-	return fusedDopName[op]
 }
 
 // FusionStats summarizes superinstruction fusion over a decoded body:

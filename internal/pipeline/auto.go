@@ -63,7 +63,7 @@ func AutoBuildWith(cache *StageCache, src string, train []byte, base Options) (*
 				cands[i].err = fmt.Errorf("auto build (set %v): %w", set, err)
 				return
 			}
-			_, st, _, err := interp.Exec(cache.Exec, b.Reordered, nil, train, nil, nil)
+			_, st, _, err := interp.Exec(interp.EngineFast, b.Reordered, nil, train, nil, nil)
 			if err != nil {
 				cands[i].err = fmt.Errorf("auto evaluation (set %v): %w", set, err)
 				return

@@ -53,13 +53,6 @@ func (r *BuildResult) ReorderedSeqs() int {
 // instrumented executable on the training input, select orderings, apply
 // the transformation, and clean up.
 func Build(src string, train []byte, o Options) (*BuildResult, error) {
-	return BuildWith(src, train, o, interp.EngineFast)
-}
-
-// BuildWith is Build with the training run on an explicit execution
-// engine. Every engine replays the identical OnProf hook sequence, so
-// the resulting build is byte-for-byte the same for any choice.
-func BuildWith(src string, train []byte, o Options, e interp.Engine) (*BuildResult, error) {
 	front, err := Frontend(src, o)
 	if err != nil {
 		return nil, err
@@ -96,7 +89,7 @@ func BuildWith(src string, train []byte, o Options, e interp.Engine) (*BuildResu
 	// Sampling mirrors TrainStage exactly so staged and monolithic builds
 	// stay byte-identical under every profile configuration.
 	sampler := profile.NewSampler(o.Profile, out.Profile, out.OrProfile)
-	if _, _, _, err := interp.Exec(e, prog, code, train, nil,
+	if _, _, _, err := interp.Exec(interp.EngineFast, prog, code, train, nil,
 		sampler.Hook(profHook(out.Profile, out.OrProfile))); err != nil {
 		return nil, fmt.Errorf("training run: %w", err)
 	}

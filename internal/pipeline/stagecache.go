@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"hash"
 	"sync"
-
-	"branchreorder/internal/interp"
 )
 
 // StageCache memoizes the staged build pipeline's cacheable stages:
@@ -32,13 +30,6 @@ type StageCache struct {
 	// run, and fresh training products are written back. Set it before
 	// the first Build.
 	Profiles ProfileStore
-
-	// Exec selects the execution engine for training runs (and, via
-	// AutoBuildWith, auto-evaluation runs). It deliberately lives
-	// outside Options and every fingerprint: profiles are byte-identical
-	// under any engine, so the choice must never split caches. Set it
-	// before the first Build; the zero value is the fast interpreter.
-	Exec interp.Engine
 
 	mu     sync.Mutex
 	limit  int
@@ -265,7 +256,7 @@ func (c *StageCache) train(src string, train []byte, fo FrontendOptions, d Detec
 		c.stats.SampledTrainRuns++
 	}
 	c.mu.Unlock()
-	tp, err := TrainStageWith(front, train, d, c.Exec)
+	tp, err := TrainStage(front, train, d)
 	if err != nil {
 		return nil, err
 	}

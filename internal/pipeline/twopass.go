@@ -24,11 +24,6 @@ type Instrumented struct {
 	Prog        *ir.Program
 	Sequences   []*core.Sequence
 	OrSequences []*core.OrSequence
-
-	// Exec selects the execution engine for Train. Profiles are
-	// byte-identical under every engine; the zero value is the fast
-	// interpreter.
-	Exec interp.Engine
 }
 
 // Instrument runs the first pass: compile, optimize, detect, instrument.
@@ -77,7 +72,7 @@ func (ins *Instrumented) Train(input []byte) (*core.Profile, *core.OrProfile, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("training run: %w", err)
 	}
-	if _, _, _, err := interp.Exec(ins.Exec, ins.Prog, code, input, nil,
+	if _, _, _, err := interp.Exec(interp.EngineFast, ins.Prog, code, input, nil,
 		profHook(prof, orProf)); err != nil {
 		return nil, nil, fmt.Errorf("training run: %w", err)
 	}

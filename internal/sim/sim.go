@@ -42,50 +42,23 @@ type Measurement struct {
 	// engine, not the measured program: Stats/Cycles are identical
 	// either way.
 	Fusion interp.FusionStats
-
-	// Compile reports the closure compilation of the executable (all
-	// zero unless the closure engine ran). Like Fusion it describes the
-	// measurement engine, not the measured program.
-	Compile interp.CompileStats
 }
 
-// Engine selects the execution backend for a measurement. All engines
-// produce byte-identical Measurements; they differ only in wall-clock
-// speed (and the engine-descriptive Fusion/Compile fields). The enum
-// lives in interp — where the machines do — and is aliased here so
-// measurement callers need only this package.
-type Engine = interp.Engine
-
-const (
-	EngineFast      = interp.EngineFast
-	EngineClosure   = interp.EngineClosure
-	EngineReference = interp.EngineReference
-)
-
-// ParseEngine maps a command-line engine name to an Engine. The empty
-// string selects the default fast engine.
-func ParseEngine(s string) (Engine, error) { return interp.ParseEngine(s) }
-
 // Options configures how a measurement executes. The zero value is the
-// default (fused, fast-engine) configuration. Options never enters
-// result fingerprints: engine selection must not invalidate caches,
-// because results are engine-independent.
+// default fused configuration. Options never enters result
+// fingerprints: results are identical either way.
 type Options struct {
-	// NoFuse decodes without superinstruction fusion — the differential
-	// debugging escape hatch (`brbench -no-fuse`). Results are
-	// byte-identical either way; only wall-clock and Fusion change.
+	// NoFuse decodes without superinstruction fusion, the differential
+	// oracle for fused execution. Results are byte-identical either
+	// way; only wall-clock and Fusion change.
 	NoFuse bool
-
-	// Engine selects the execution backend.
-	Engine Engine
 }
 
 // Run executes prog on input, simulating the given predictors (pass nil
 // for the full Table 6 sweep) and deriving cycles for every machine model.
 //
-// Execution is on the flat-decoded fast engine (interp.Decode +
-// interp.FastMachine); RunWith's Options.Engine selects the closure or
-// reference backend instead. With the default sweep the whole predictor battery
+// Execution is on the flat-decoded fast engine (interp.DecodeWith +
+// interp.FastMachine). With the default sweep the whole predictor battery
 // is simulated by one predictor.Bank pass per branch instead of 14
 // separate Bimodal observations; explicit predictors keep the Bimodal
 // fan-out so tests can instrument individual tables.
@@ -110,54 +83,22 @@ func RunWith(prog *ir.Program, input []byte, preds []*predictor.Bimodal, opts Op
 			}
 		}
 	}
-	var (
-		stats   interp.Stats
-		output  string
-		ret     int64
-		fusion  interp.FusionStats
-		compile interp.CompileStats
-	)
-	switch opts.Engine {
-	case EngineReference:
-		m := &interp.Machine{Prog: prog, Input: input, OnBranch: onBranch}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-	case EngineClosure:
-		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		m := &interp.ClosureMachine{Code: code, Input: input, OnBranch: onBranch}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-		fusion, compile = code.FusionStats(), code.CompileStats()
-	default:
-		code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		m := &interp.FastMachine{Code: code, Input: input, OnBranch: onBranch}
-		r, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		stats, output, ret = m.Stats, m.Output.String(), r
-		fusion = code.FusionStats()
+	code, err := interp.DecodeWith(prog, interp.DecodeOptions{Fuse: !opts.NoFuse})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	m := &interp.FastMachine{Code: code, Input: input, OnBranch: onBranch}
+	ret, err := m.Run()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
 	cfgs := machine.All()
 	out := &Measurement{
-		Stats:   stats,
-		Output:  output,
-		Ret:     ret,
-		Cycles:  make(map[string]uint64, len(cfgs)),
-		Fusion:  fusion,
-		Compile: compile,
+		Stats:  m.Stats,
+		Output: m.Output.String(),
+		Ret:    ret,
+		Cycles: make(map[string]uint64, len(cfgs)),
+		Fusion: code.FusionStats(),
 	}
 	if bank != nil {
 		out.Mispredicts = bank.Mispredicts()
@@ -168,7 +109,7 @@ func RunWith(prog *ir.Program, input []byte, preds []*predictor.Bimodal, opts Op
 		}
 	}
 	for _, cfg := range cfgs {
-		out.Cycles[cfg.Name] = Cycles(cfg, stats, out.Mispredicts)
+		out.Cycles[cfg.Name] = Cycles(cfg, out.Stats, out.Mispredicts)
 	}
 	return out, nil
 }
