@@ -203,9 +203,10 @@ func BenchmarkBuildReordered(b *testing.B) {
 	}
 }
 
-// BenchmarkBuild contrasts the monolithic pipeline with the staged one.
-// cold builds from source every iteration — frontend, detection,
-// training run, finalize. staged-warm builds through a warmed
+// BenchmarkBuild contrasts an uncached build with a cached one. cold
+// composes the three stages from source every iteration (pipeline.Build:
+// frontend, detection, training run, finalize, no cache). staged-warm
+// builds through a warmed
 // StageCache, so each iteration pays only the finalize stage; the gap
 // between the two is the work the ablation grid and AutoBuild amortize
 // across Transform variants.
@@ -223,7 +224,7 @@ func BenchmarkBuild(b *testing.B) {
 	})
 	b.Run("wc/staged-warm", func(b *testing.B) {
 		b.ReportAllocs()
-		cache := pipeline.NewStageCache(0)
+		cache := pipeline.NewStageCache()
 		if _, err := cache.Build(w.Source, train, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -125,16 +125,17 @@ func appliedOr(build *pipeline.BuildResult) int {
 	return n
 }
 
-// runFirstPass instruments, trains, and writes the profile data file.
+// runFirstPass runs stages 1 and 2 — compile, detect, instrument, train —
+// and writes the training product as the profile data file.
 func runFirstPass(src string, opts pipeline.Options, train []byte, path string) error {
 	if train == nil {
 		return fmt.Errorf("-profile-out requires -train (or -train-builtin)")
 	}
-	ins, err := pipeline.Instrument(src, opts)
+	front, err := pipeline.BuildFrontend(src, opts.Frontend())
 	if err != nil {
 		return err
 	}
-	prof, orProf, err := ins.Train(train)
+	tp, err := pipeline.TrainStage(front, train, opts.Detection())
 	if err != nil {
 		return err
 	}
@@ -143,26 +144,32 @@ func runFirstPass(src string, opts pipeline.Options, train []byte, path string) 
 		return err
 	}
 	defer f.Close()
-	if err := pipeline.WriteProfile(f, prof, orProf); err != nil {
+	if err := pipeline.WriteProfile(f, tp); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote profile for %d sequence(s) to %s\n",
-		len(ins.Sequences)+len(ins.OrSequences), path)
+		tp.NumSeqs+tp.NumOrSeqs, path)
 	return f.Close()
 }
 
-// runSecondPass recompiles using a stored profile data file.
+// runSecondPass recompiles and runs stage 3 on a stored profile data
+// file. A profile from another source or configuration fails the stage
+// check instead of silently reordering nothing.
 func runSecondPass(src string, opts pipeline.Options, path string) (*pipeline.BuildResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	seqProfiles, orProfiles, err := core.ReadProfiles(f)
+	tp, err := pipeline.ReadProfile(f)
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.Finalize(src, opts, seqProfiles, orProfiles)
+	front, err := pipeline.BuildFrontend(src, opts.Frontend())
+	if err != nil {
+		return nil, err
+	}
+	return pipeline.FinalizeStages(front, tp, opts)
 }
 
 func parseSet(s string) (lower.HeuristicSet, error) {

@@ -3,10 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"branchreorder/internal/lower"
 	"branchreorder/internal/pipeline"
+	"branchreorder/internal/workload"
 )
 
 func TestParseSet(t *testing.T) {
@@ -65,6 +67,38 @@ int main() {
 	}
 	if _, err := runSecondPass(src, opts, filepath.Join(dir, "nope.txt")); err == nil {
 		t.Error("second pass with missing profile succeeded")
+	}
+
+	// Profiles that do not match what the second pass re-detects must
+	// fail it, not silently reorder nothing.
+	good, err := os.ReadFile(profPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(good), "seq 0 ") {
+		t.Fatalf("profile does not start with sequence 0:\n%s", good)
+	}
+	sortW, _ := workload.Named("sort")
+	foreignPath := filepath.Join(dir, "sort.txt")
+	if err := runFirstPass(sortW.Source, opts, sortW.Train(), foreignPath); err != nil {
+		t.Fatalf("first pass (sort): %v", err)
+	}
+	foreign, err := os.ReadFile(foreignPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, prof := range map[string]string{
+		"empty":      "",
+		"foreign":    string(foreign),
+		"undetected": strings.Replace(string(good), "seq 0 ", "seq 7 ", 1),
+	} {
+		path := filepath.Join(dir, name+".txt")
+		if err := os.WriteFile(path, []byte(prof), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runSecondPass(src, opts, path); err == nil {
+			t.Errorf("second pass with %s profile succeeded", name)
+		}
 	}
 }
 

@@ -273,8 +273,9 @@ func run(out string) error {
 	}
 	input := w.Test()
 
-	// The staged-pipeline headline: a cold build pays frontend +
-	// detection + training + finalize; a build through a warm StageCache
+	// The staged-pipeline headline: a cold build is an uncached stage
+	// composition (pipeline.Build) and pays frontend + detection +
+	// training + finalize; a build through a warm StageCache
 	// pays only finalize. The ratio is what the ablation grid and
 	// AutoBuild save on every Transform variant after the first.
 	opts := pipeline.Options{Switch: lower.SetI, Optimize: true}
@@ -289,7 +290,7 @@ func run(out string) error {
 	}))
 	record("Build/wc/staged-warm", testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
-		cache := pipeline.NewStageCache(0)
+		cache := pipeline.NewStageCache()
 		if _, err := cache.Build(w.Source, train, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -69,26 +69,11 @@ func PctChange(before, after uint64) float64 {
 	return 100 * (float64(after)/float64(before) - 1)
 }
 
-// Run builds and measures one workload under one heuristic set.
-func Run(w workload.Workload, set lower.HeuristicSet) (*ProgramRun, error) {
-	return RunOpts(w, BaseOptions(set))
-}
-
-// RunOpts builds and measures one workload under a full pipeline
+// RunStaged builds and measures one workload under a full pipeline
 // configuration (ablation variants and the Section 10 extension
-// included), using the monolithic pipeline.Build.
-func RunOpts(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
-	b, err := pipeline.Build(w.Source, TrainInput(w, opts), opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
-	}
-	return measureBuild(w, opts, b)
-}
-
-// RunStaged is RunOpts through a stage cache: the frontend and training
-// stages are shared with every other build of the same configuration,
-// and only the finalize stage runs per variant. Output is byte-identical
-// to RunOpts.
+// included) through a stage cache: the frontend and training stages are
+// shared with every other build of the same configuration, and only the
+// finalize stage runs per variant.
 func RunStaged(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
 	b, err := cache.Build(w.Source, TrainInput(w, opts), opts)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"branchreorder/internal/lower"
+	"branchreorder/internal/pipeline"
 	"branchreorder/internal/workload"
 )
 
@@ -20,9 +21,9 @@ func miniSuite(t *testing.T) *Suite {
 			if !ok {
 				t.Fatalf("workload %s missing", name)
 			}
-			r, err := Run(w, set)
+			r, err := RunStaged(pipeline.NewStageCache(), w, BaseOptions(set))
 			if err != nil {
-				t.Fatalf("Run(%s, %v): %v", name, set, err)
+				t.Fatalf("RunStaged(%s, %v): %v", name, set, err)
 			}
 			s.Runs[set] = append(s.Runs[set], r)
 		}
@@ -45,7 +46,7 @@ func TestPctChange(t *testing.T) {
 
 func TestRunChecksOutputs(t *testing.T) {
 	w, _ := workload.Named("wc")
-	r, err := Run(w, lower.SetI)
+	r, err := RunStaged(pipeline.NewStageCache(), w, BaseOptions(lower.SetI))
 	if err != nil {
 		t.Fatal(err)
 	}

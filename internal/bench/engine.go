@@ -83,7 +83,7 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 		progress: progress,
 		sem:      make(chan struct{}, jobs),
 		cache:    map[Key]*entry{},
-		stages:   pipeline.NewStageCache(0),
+		stages:   pipeline.NewStageCache(),
 	}
 	e.stages.Profiles = profileTier{e}
 	return e

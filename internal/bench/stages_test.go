@@ -139,7 +139,7 @@ func TestRemoteProfileWarmsSecondMachine(t *testing.T) {
 func TestAutoBuildSharesStageCache(t *testing.T) {
 	ws := subset(t, "wc")
 	w := ws[0]
-	cache := pipeline.NewStageCache(0)
+	cache := pipeline.NewStageCache()
 	for _, set := range Sets() {
 		if _, err := cache.Build(w.Source, w.Train(), BaseOptions(set)); err != nil {
 			t.Fatal(err)

@@ -54,7 +54,14 @@ func (r *ProfileRecord) Validate() error {
 	case len(r.Seqs) > r.NumSeqs || len(r.OrSeqs) > r.NumOrSeqs:
 		return errors.New("store: profile record counts more sequences than detected")
 	}
+	// Detection numbers range sequences 0..NumSeqs-1 and or-sequences
+	// after them, and a training run counts each sequence once.
+	seen := make(map[int]bool, len(r.Seqs)+len(r.OrSeqs))
 	for _, s := range r.Seqs {
+		if s.ID < 0 || s.ID >= r.NumSeqs || seen[s.ID] {
+			return fmt.Errorf("store: profile record sequence ID %d is duplicated or outside [0, %d)", s.ID, r.NumSeqs)
+		}
+		seen[s.ID] = true
 		var sum uint64
 		for _, c := range s.Counts {
 			sum += c
@@ -64,6 +71,11 @@ func (r *ProfileRecord) Validate() error {
 		}
 	}
 	for _, s := range r.OrSeqs {
+		if s.ID < r.NumSeqs || s.ID >= r.NumSeqs+r.NumOrSeqs || seen[s.ID] {
+			return fmt.Errorf("store: profile record or-sequence ID %d is duplicated or outside [%d, %d)",
+				s.ID, r.NumSeqs, r.NumSeqs+r.NumOrSeqs)
+		}
+		seen[s.ID] = true
 		if s.N < 0 || s.N > 30 || 1<<uint(s.N) != len(s.Combos) {
 			return fmt.Errorf("store: profile record or-sequence %d: %d combos for n=%d", s.ID, len(s.Combos), s.N)
 		}

@@ -58,6 +58,12 @@ func TestProfileRecordValidateRejects(t *testing.T) {
 		"too-many-seqs":   {NumSeqs: 0, Seqs: []ProfileCounts{{ID: 0, Total: 0}}},
 		"combo-shape":     {NumOrSeqs: 1, OrSeqs: []OrProfileCounts{{ID: 0, N: 2, Total: 3, Combos: []uint64{1, 2}}}},
 		"negative":        {NumSeqs: -1},
+		"id-past-numseqs": {NumSeqs: 1, Seqs: []ProfileCounts{{ID: 1, Total: 1, Counts: []uint64{1}}}},
+		"negative-id":     {NumSeqs: 1, Seqs: []ProfileCounts{{ID: -1, Total: 1, Counts: []uint64{1}}}},
+		"duplicate-id": {NumSeqs: 2, Seqs: []ProfileCounts{
+			{ID: 0, Total: 1, Counts: []uint64{1}}, {ID: 0, Total: 1, Counts: []uint64{1}}}},
+		"or-id-in-range-ids": {NumSeqs: 1, NumOrSeqs: 1,
+			OrSeqs: []OrProfileCounts{{ID: 0, N: 1, Total: 1, Combos: []uint64{0, 1}}}},
 	}
 	for name, rec := range cases {
 		if err := rec.Validate(); err == nil {

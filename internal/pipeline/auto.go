@@ -42,7 +42,7 @@ func AutoBuild(src string, train []byte, base Options) (*AutoResult, error) {
 // so the result never depends on scheduling.
 func AutoBuildWith(cache *StageCache, src string, train []byte, base Options) (*AutoResult, error) {
 	if cache == nil {
-		cache = NewStageCache(0)
+		cache = NewStageCache()
 	}
 	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
 	type candidate struct {

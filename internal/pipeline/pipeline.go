@@ -7,9 +7,13 @@
 //	pass 2: same front-end output + profile data → select orderings →
 //	        apply the reordering transformation → cleanup → executable
 //
-// The Build function runs the whole scheme and returns both the baseline
-// executable (conventional optimizations only) and the reordered one, plus
-// the static report the evaluation tables need.
+// The scheme is implemented once, as three stages (stages.go):
+// BuildFrontend, TrainStage and FinalizeStages. Build composes them in
+// one process, StageCache.Build composes them through a shared cache, and
+// a driver can run the passes separately with the profile stored in a
+// file between them (WriteProfile/ReadProfile). Each returns both the
+// baseline executable (conventional optimizations only) and the reordered
+// one, plus the static report the evaluation tables need.
 package pipeline
 
 import (

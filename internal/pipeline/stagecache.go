@@ -91,20 +91,16 @@ type stageEntry[T any] struct {
 	err  error
 }
 
-// DefaultStageLimit bounds each stage map of a zero-configured cache:
-// enough for the full evaluation matrix (17 workloads x 3 sets) with
-// room to spare, small enough that a long-lived engine cannot hoard
-// programs without bound.
-const DefaultStageLimit = 96
+// stageLimit bounds each stage map of a cache: enough for the full
+// evaluation matrix (17 workloads x 3 sets) with room to spare, small
+// enough that a long-lived engine cannot hoard programs without bound.
+const stageLimit = 96
 
-// NewStageCache returns a cache holding at most limit entries per stage
-// (DefaultStageLimit when limit <= 0).
-func NewStageCache(limit int) *StageCache {
-	if limit <= 0 {
-		limit = DefaultStageLimit
-	}
+// NewStageCache returns an empty cache holding at most stageLimit entries
+// per stage.
+func NewStageCache() *StageCache {
 	return &StageCache{
-		limit:  limit,
+		limit:  stageLimit,
 		fronts: map[string]*stageEntry[*FrontendProduct]{},
 		trains: map[string]*stageEntry[*TrainProduct]{},
 	}
@@ -282,7 +278,7 @@ func (c *StageCache) train(src string, train []byte, fo FrontendOptions, d Detec
 
 // Build runs the full staged pipeline through the cache: stage 1 and
 // stage 2 are shared with every other build of the same source, stage 3
-// always runs. The result is byte-identical to the monolithic Build.
+// always runs. The result is byte-identical to an uncached Build.
 func (c *StageCache) Build(src string, train []byte, o Options) (*BuildResult, error) {
 	front, err := c.Frontend(src, o.Frontend())
 	if err != nil {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"io"
 
 	"branchreorder/internal/core"
 	"branchreorder/internal/interp"
@@ -11,10 +12,9 @@ import (
 	"branchreorder/internal/profile"
 )
 
-// The staged build pipeline. Build runs the paper's Figure 2 scheme
-// monolithically; the ablation grid and AutoBuild instead compose it from
-// three explicitly keyed stages so identical work is done once and reused
-// everywhere (see StageCache):
+// The staged build pipeline: the only implementation of the paper's
+// Figure 2 scheme. Build, StageCache.Build and both passes of brcc's
+// file-based workflow all compose the same three stages:
 //
 //	stage 1 (frontend):     lex/parse/lower/opt — keyed by the source and
 //	                        the lowering-relevant options (Switch,
@@ -32,9 +32,10 @@ import (
 // Detection is deterministic, so stages 2 and 3 re-detect identical
 // sequences (same IDs, same arms) on fresh clones of the stage-1 program;
 // the counts stage 2 collects line up index-for-index with the arms stage
-// 3 rebuilds. That is the same separate-compilation discipline the
-// explicit two-pass workflow (twopass.go) relies on. Composing the stages
-// yields output byte-identical to the monolithic Build — CI-enforced.
+// 3 rebuilds. That separate-compilation discipline is what lets the
+// profile cross a process boundary (WriteProfile/ReadProfile) or come
+// from a store record; finalize checks the product against what it
+// re-detects and rejects any mismatch.
 
 // FrontendOptions is the subset of Options that determines the stage-1
 // product. It is comparable, so it can key caches directly.
@@ -99,6 +100,34 @@ type TrainProduct struct {
 	NumOrSeqs int
 }
 
+// WriteProfile serializes a training product as the profile data file
+// the paper's Figure 2 stores between its two passes: one line per
+// sequence in the core.Profile text format. Stage 2 allocates counts for
+// every detected sequence, so the file names each one, executed or not.
+func WriteProfile(w io.Writer, tp *TrainProduct) error {
+	if err := (&core.Profile{Seqs: tp.SeqProfiles}).Write(w); err != nil {
+		return err
+	}
+	return (&core.OrProfile{Seqs: tp.OrSeqProfiles}).Write(w)
+}
+
+// ReadProfile parses a profile data file written by WriteProfile back
+// into a training product. The detection shape is the number of seq and
+// orseq lines; FinalizeStages checks it, and every ID, against what it
+// re-detects.
+func ReadProfile(r io.Reader) (*TrainProduct, error) {
+	seqs, orSeqs, err := core.ReadProfiles(r)
+	if err != nil {
+		return nil, err
+	}
+	return &TrainProduct{
+		SeqProfiles:   seqs,
+		OrSeqProfiles: orSeqs,
+		NumSeqs:       len(seqs),
+		NumOrSeqs:     len(orSeqs),
+	}, nil
+}
+
 // profHook fuses the range- and or-profile hooks into the single OnProf
 // callback the interpreter dispatches. Most builds have no
 // common-successor sequences (the extension is off for the
@@ -121,10 +150,53 @@ func profHook(prof *core.Profile, orProf *core.OrProfile) func(seqID, sub int, v
 	}
 }
 
+// detected is a fresh clone of a frontend program with both sequence
+// kinds detected and instrumented in place.
+type detected struct {
+	prog   *ir.Program
+	seqs   []*core.Sequence
+	orSeqs []*core.OrSequence
+}
+
+// detect is the detection both stage 2 and stage 3 run: range-condition
+// sequences with their arms, then (with commonSucc) common-successor
+// sequences over the blocks those left unclaimed, then the
+// post-instrumentation linearize and verify. Running the same steps on
+// the same frontend program is what keeps sequence IDs and arms aligned
+// across the two stages.
+func detect(front *FrontendProduct, commonSucc bool) (*detected, error) {
+	d := &detected{prog: ir.CloneProgram(front.Prog)}
+	d.seqs = core.Detect(d.prog, 0)
+	for _, s := range d.seqs {
+		s.BuildArms()
+	}
+	if commonSucc {
+		d.orSeqs = core.DetectCommonSucc(d.prog, len(d.seqs), consumedBlocks(d.seqs))
+	}
+	d.prog.Linearize()
+	if err := d.prog.Verify(); err != nil {
+		return nil, fmt.Errorf("verify after instrumentation: %w", err)
+	}
+	return d, nil
+}
+
+// consumedBlocks collects the blocks claimed by range-condition
+// sequences, which take precedence over the common-successor extension.
+func consumedBlocks(seqs []*core.Sequence) map[*ir.Block]bool {
+	consumed := map[*ir.Block]bool{}
+	for _, s := range seqs {
+		consumed[s.Head] = true
+		for _, c := range s.Conds {
+			for _, b := range c.Blocks {
+				consumed[b] = true
+			}
+		}
+	}
+	return consumed
+}
+
 // TrainStage runs stage 2 on a clone of the frontend product: detect
-// both sequence kinds, instrument, and execute the training input,
-// mirroring the monolithic Build's first pass exactly so the counts are
-// identical to the ones an in-place build would collect.
+// both sequence kinds, instrument, and execute the training input.
 func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainProduct, error) {
 	return TrainStageWith(front, train, d, interp.EngineFast)
 }
@@ -134,23 +206,13 @@ func TrainStage(front *FrontendProduct, train []byte, d DetectOptions) (*TrainPr
 // profile — and every build derived from it — is byte-identical for any
 // choice; only the training run's wall-clock changes.
 func TrainStageWith(front *FrontendProduct, train []byte, d DetectOptions, e interp.Engine) (*TrainProduct, error) {
-	prog := ir.CloneProgram(front.Prog)
-	seqs := core.Detect(prog, 0)
-	for _, s := range seqs {
-		s.BuildArms()
+	det, err := detect(front, d.CommonSuccessor)
+	if err != nil {
+		return nil, err
 	}
-	var orSeqs []*core.OrSequence
-	if d.CommonSuccessor {
-		orSeqs = core.DetectCommonSucc(prog, len(seqs), consumedBlocks(seqs))
-	}
-	prof := core.NewProfile(seqs)
-	orProf := core.NewOrProfile(orSeqs)
-
-	prog.Linearize()
-	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after instrumentation: %w", err)
-	}
-	code, err := interp.Decode(prog)
+	prof := core.NewProfile(det.seqs)
+	orProf := core.NewOrProfile(det.orSeqs)
+	code, err := interp.Decode(det.prog)
 	if err != nil {
 		return nil, fmt.Errorf("training run: %w", err)
 	}
@@ -158,25 +220,45 @@ func TrainStageWith(front *FrontendProduct, train []byte, d DetectOptions, e int
 	// surviving counts back to exact shape after the run; a zero config
 	// leaves the hook untouched.
 	sampler := profile.NewSampler(d.Profile, prof, orProf)
-	if _, _, _, err := interp.Exec(e, prog, code, train, nil, sampler.Hook(profHook(prof, orProf))); err != nil {
+	if _, _, _, err := interp.Exec(e, det.prog, code, train, nil, sampler.Hook(profHook(prof, orProf))); err != nil {
 		return nil, fmt.Errorf("training run: %w", err)
 	}
 	sampler.Scale()
 	return &TrainProduct{
 		SeqProfiles:   prof.Seqs,
 		OrSeqProfiles: orProf.Seqs,
-		NumSeqs:       len(seqs),
-		NumOrSeqs:     len(orSeqs),
+		NumSeqs:       len(det.seqs),
+		NumOrSeqs:     len(det.orSeqs),
 	}, nil
 }
 
 // FinalizeStages runs stage 3 on a fresh clone of the frontend product:
-// re-detect the (identical) sequences, attach the cached counts, select
-// and apply orderings, clean up, fill delay slots. The mutation sequence
-// mirrors the monolithic Build step for step (including the
-// post-instrumentation linearize+verify), so the resulting programs are
-// byte-identical to an in-place build's.
+// re-detect the (identical) sequences, check the training product
+// against them, select and apply orderings, clean up, fill delay slots.
+// A product whose shape, IDs or per-sequence counts disagree with the
+// re-detected sequences — a profile file or store record from another
+// source or configuration — is rejected, never silently misattributed.
 func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*BuildResult, error) {
+	det, err := detect(front, o.CommonSuccessor)
+	if err != nil {
+		return nil, err
+	}
+	if len(det.seqs) != tp.NumSeqs || len(det.orSeqs) != tp.NumOrSeqs {
+		return nil, fmt.Errorf("stage mismatch: finalize detected %d/%d sequences, training saw %d/%d "+
+			"(was the profile produced from the same source and options?)",
+			len(det.seqs), len(det.orSeqs), tp.NumSeqs, tp.NumOrSeqs)
+	}
+	// Detect numbers range sequences 0..n-1 and or-sequences after them.
+	for id := range tp.SeqProfiles {
+		if id < 0 || id >= len(det.seqs) {
+			return nil, fmt.Errorf("stage mismatch: profile names sequence %d, which was not detected", id)
+		}
+	}
+	for id := range tp.OrSeqProfiles {
+		if id < len(det.seqs) || id >= len(det.seqs)+len(det.orSeqs) {
+			return nil, fmt.Errorf("stage mismatch: profile names or-sequence %d, which was not detected", id)
+		}
+	}
 	kinds := make(map[lower.SwitchKind]int, len(front.SwitchKinds))
 	for k, v := range front.SwitchKinds {
 		kinds[k] = v
@@ -184,29 +266,12 @@ func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*Build
 	out := &BuildResult{
 		Baseline:    ir.CloneProgram(front.Prog),
 		SwitchKinds: kinds,
+		Sequences:   det.seqs,
+		OrSequences: det.orSeqs,
+		Profile:     &core.Profile{Seqs: tp.SeqProfiles},
+		OrProfile:   &core.OrProfile{Seqs: tp.OrSeqProfiles},
 	}
-	prog := ir.CloneProgram(front.Prog)
-	out.Sequences = core.Detect(prog, 0)
-	for _, s := range out.Sequences {
-		s.BuildArms()
-	}
-	if o.CommonSuccessor {
-		out.OrSequences = core.DetectCommonSucc(prog, len(out.Sequences), consumedBlocks(out.Sequences))
-	}
-	if len(out.Sequences) != tp.NumSeqs || len(out.OrSequences) != tp.NumOrSeqs {
-		return nil, fmt.Errorf("stage mismatch: finalize detected %d/%d sequences, training saw %d/%d "+
-			"(was the profile produced from the same source and options?)",
-			len(out.Sequences), len(out.OrSequences), tp.NumSeqs, tp.NumOrSeqs)
-	}
-	out.Profile = &core.Profile{Seqs: tp.SeqProfiles}
-	out.OrProfile = &core.OrProfile{Seqs: tp.OrSeqProfiles}
-
-	prog.Linearize()
-	if err := prog.Verify(); err != nil {
-		return nil, fmt.Errorf("verify after instrumentation: %w", err)
-	}
-
-	for _, s := range out.Sequences {
+	for _, s := range det.seqs {
 		sp := tp.SeqProfiles[s.ID]
 		if sp != nil && len(sp.Counts) != len(s.Arms) {
 			return nil, fmt.Errorf("stage mismatch: profile for sequence %d has %d counts, expected %d",
@@ -214,7 +279,7 @@ func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*Build
 		}
 		out.Results = append(out.Results, core.ReorderWith(s, sp, o.Transform))
 	}
-	for _, s := range out.OrSequences {
+	for _, s := range det.orSeqs {
 		sp := tp.OrSeqProfiles[s.ID]
 		if sp != nil && sp.N != len(s.Conds) {
 			return nil, fmt.Errorf("stage mismatch: profile for or-sequence %d has %d conditions, expected %d",
@@ -222,6 +287,7 @@ func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*Build
 		}
 		out.OrResults = append(out.OrResults, core.ReorderOr(s, sp))
 	}
+	prog := det.prog
 	core.StripProf(prog)
 	opt.Program(prog)
 	prog.Linearize()

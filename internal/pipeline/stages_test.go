@@ -11,52 +11,67 @@ import (
 	"branchreorder/internal/workload"
 )
 
-// buildPair builds one configuration both ways — monolithic Build and
-// staged through cache — and fails unless the outputs are byte-identical.
+// buildPair builds one configuration twice — through the shared cache
+// and as a fresh, uncached Build — and fails unless the outputs are
+// byte-identical and the cached frontend program is unchanged, so no
+// consumer of a shared stage product ever mutates it.
 func buildPair(t *testing.T, cache *StageCache, src string, train []byte, o Options) *BuildResult {
 	t.Helper()
-	mono, err := Build(src, train, o)
+	front, err := cache.Frontend(src, o.Frontend())
 	if err != nil {
-		t.Fatalf("monolithic Build: %v", err)
+		t.Fatalf("frontend: %v", err)
+	}
+	frontDump := front.Prog.Dump()
+	fresh, err := Build(src, train, o)
+	if err != nil {
+		t.Fatalf("fresh Build: %v", err)
 	}
 	staged, err := cache.Build(src, train, o)
 	if err != nil {
-		t.Fatalf("staged Build: %v", err)
+		t.Fatalf("cached Build: %v", err)
 	}
-	if got, want := staged.Baseline.Dump(), mono.Baseline.Dump(); got != want {
-		t.Fatalf("staged baseline differs from monolithic baseline\nstaged:\n%s\nmonolithic:\n%s", got, want)
+	if got, want := staged.Baseline.Dump(), fresh.Baseline.Dump(); got != want {
+		t.Fatalf("cached baseline differs from fresh baseline\ncached:\n%s\nfresh:\n%s", got, want)
 	}
-	if got, want := staged.Reordered.Dump(), mono.Reordered.Dump(); got != want {
-		t.Fatalf("staged reordered program differs from monolithic\nstaged:\n%s\nmonolithic:\n%s", got, want)
+	if got, want := staged.Reordered.Dump(), fresh.Reordered.Dump(); got != want {
+		t.Fatalf("cached reordered program differs from fresh\ncached:\n%s\nfresh:\n%s", got, want)
 	}
-	if got, want := fmt.Sprintf("%+v", staged.Results), fmt.Sprintf("%+v", mono.Results); got != want {
-		t.Fatalf("staged results differ: %s vs %s", got, want)
+	if got, want := fmt.Sprintf("%+v", staged.Results), fmt.Sprintf("%+v", fresh.Results); got != want {
+		t.Fatalf("cached results differ: %s vs %s", got, want)
 	}
-	if got, want := fmt.Sprintf("%+v", staged.OrResults), fmt.Sprintf("%+v", mono.OrResults); got != want {
-		t.Fatalf("staged or-results differ: %s vs %s", got, want)
+	if got, want := fmt.Sprintf("%+v", staged.OrResults), fmt.Sprintf("%+v", fresh.OrResults); got != want {
+		t.Fatalf("cached or-results differ: %s vs %s", got, want)
+	}
+	if front.Prog.Dump() != frontDump {
+		t.Fatal("building mutated the cached frontend program")
 	}
 	return staged
 }
 
-// The staged pipeline must be byte-identical to the monolithic one over
-// the whole evaluation roster. Each workload runs under a rotating
-// heuristic set so all three sets are exercised without tripling the
-// build count.
+// A build through a warm shared cache must be byte-identical to a fresh,
+// uncached Build (the "monolithic" side of the name) over the whole
+// evaluation roster. Each workload runs under a
+// rotating heuristic set so all three sets are exercised without
+// tripling the build count; a Transform variant then reuses the cached
+// frontend and training products.
 func TestStagedBuildMatchesMonolithicRoster(t *testing.T) {
 	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
+	cache := NewStageCache()
 	for i, w := range workload.All() {
 		w, set := w, sets[i%len(sets)]
 		t.Run(fmt.Sprintf("%s/set%v", w.Name, set), func(t *testing.T) {
 			t.Parallel()
-			cache := NewStageCache(0)
-			buildPair(t, cache, w.Source, w.Train(), Options{Switch: set, Optimize: true})
+			o := Options{Switch: set, Optimize: true}
+			buildPair(t, cache, w.Source, w.Train(), o)
+			o.Transform = core.TransformOptions{NoTailDup: true}
+			buildPair(t, cache, w.Source, w.Train(), o)
 		})
 	}
 }
 
 // Randomized TransformOptions (and the Section 10 extension) must stay
-// byte-identical too — every variant shares the cached stages, which is
-// exactly where divergence would creep in.
+// byte-identical to a fresh Build too — every variant shares the cached
+// stages, which is exactly where divergence or mutation would creep in.
 func TestStagedBuildMatchesMonolithicRandomOptions(t *testing.T) {
 	w, ok := workload.Named("wc")
 	if !ok {
@@ -64,7 +79,7 @@ func TestStagedBuildMatchesMonolithicRandomOptions(t *testing.T) {
 	}
 	train := w.Train()
 	rng := rand.New(rand.NewSource(7))
-	cache := NewStageCache(0)
+	cache := NewStageCache()
 	for i := 0; i < 12; i++ {
 		o := Options{
 			Switch:          []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}[rng.Intn(3)],
@@ -91,7 +106,7 @@ func TestStageCacheInvalidation(t *testing.T) {
 		t.Fatal("wc workload missing")
 	}
 	trainA, trainB := w.Train(), w.Test()
-	cache := NewStageCache(0)
+	cache := NewStageCache()
 	base := Options{Switch: lower.SetI, Optimize: true}
 	mustStage := func(o Options, train []byte, want StageStats) {
 		t.Helper()
@@ -162,8 +177,8 @@ func (m *memProfiles) PutProfile(src string, train []byte, fo FrontendOptions, d
 }
 
 // A warm ProfileStore must let a fresh cache skip the training run
-// entirely, and the resulting build must still be byte-identical to the
-// monolithic path.
+// entirely, and the resulting build must still be byte-identical to a
+// fresh Build.
 func TestStageCacheProfileStoreWarm(t *testing.T) {
 	w, ok := workload.Named("wc")
 	if !ok {
@@ -173,7 +188,7 @@ func TestStageCacheProfileStoreWarm(t *testing.T) {
 	o := Options{Switch: lower.SetI, Optimize: true}
 	profiles := &memProfiles{}
 
-	cold := NewStageCache(0)
+	cold := NewStageCache()
 	cold.Profiles = profiles
 	if _, err := cold.Build(w.Source, train, o); err != nil {
 		t.Fatalf("cold Build: %v", err)
@@ -186,7 +201,7 @@ func TestStageCacheProfileStoreWarm(t *testing.T) {
 	}
 
 	// A fresh cache (new process, same persistent tier) must not train.
-	warm := NewStageCache(0)
+	warm := NewStageCache()
 	warm.Profiles = profiles
 	buildPair(t, warm, w.Source, train, o)
 	if st := warm.Stats(); st.TrainRuns != 0 || st.TrainStoreHits != 1 {
@@ -206,7 +221,7 @@ func TestStageCacheSingleFlight(t *testing.T) {
 	}
 	train := w.Train()
 	o := Options{Switch: lower.SetI, Optimize: true}
-	cache := NewStageCache(0)
+	cache := NewStageCache()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for i := range errs {
@@ -235,7 +250,8 @@ func TestStageCacheEviction(t *testing.T) {
 	if !ok {
 		t.Fatal("wc workload missing")
 	}
-	cache := NewStageCache(1)
+	cache := NewStageCache()
+	cache.limit = 1
 	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
 	for _, set := range sets {
 		if _, err := cache.Frontend(w.Source, FrontendOptions{Switch: set, Optimize: true}); err != nil {

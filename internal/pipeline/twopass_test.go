@@ -10,53 +10,57 @@ import (
 	"branchreorder/internal/workload"
 )
 
+// firstPass runs stages 1 and 2 and serializes the training product, as
+// brcc -profile-out does.
+func firstPass(t *testing.T, w workload.Workload, o Options) []byte {
+	t.Helper()
+	front, err := BuildFrontend(w.Source, o.Frontend())
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	tp, err := TrainStage(front, w.Train(), o.Detection())
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	var buf bytes.Buffer
+	if err := WriteProfile(&buf, tp); err != nil {
+		t.Fatalf("%s: %v", w.Name, err)
+	}
+	return buf.Bytes()
+}
+
+// secondPass recompiles and finalizes against a stored profile, as brcc
+// -profile-in does.
+func secondPass(w workload.Workload, o Options, profile []byte) (*BuildResult, error) {
+	tp, err := ReadProfile(bytes.NewReader(profile))
+	if err != nil {
+		return nil, err
+	}
+	front, err := BuildFrontend(w.Source, o.Frontend())
+	if err != nil {
+		return nil, err
+	}
+	return FinalizeStages(front, tp, o)
+}
+
 // The explicit two-pass workflow with the profile externalized must
-// produce an executable equivalent to the in-memory Build, for every
+// produce exactly the program the in-memory Build does, for every
 // workload (exercising the paper's Figure 2 with a profile data file).
 func TestTwoPassMatchesBuild(t *testing.T) {
 	opts := Options{Switch: lower.SetI, Optimize: true, CommonSuccessor: true}
 	for _, name := range []string{"wc", "cpp", "yacc", "sort"} {
 		w, _ := workload.Named(name)
-		train, test := w.Train(), w.Test()
-
-		// Pass 1: instrument, train, serialize the profile.
-		ins, err := Instrument(w.Source, opts)
+		prof := firstPass(t, w, opts)
+		twoPass, err := secondPass(w, opts, prof)
+		if err != nil {
+			t.Fatalf("%s: second pass: %v\n%s", name, err, prof)
+		}
+		ref, err := Build(w.Source, w.Train(), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		prof, orProf, err := ins.Train(train)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var buf bytes.Buffer
-		if err := WriteProfile(&buf, prof, orProf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		// Pass 2: fresh compilation driven by the stored profile.
-		seqs, ors, err := core.ReadProfiles(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: parse profile: %v\n%s", name, err, buf.String())
-		}
-		twoPass, err := Finalize(w.Source, opts, seqs, ors)
-		if err != nil {
-			t.Fatalf("%s: finalize: %v", name, err)
-		}
-
-		// Reference: the all-in-memory build.
-		ref, err := Build(w.Source, train, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-
-		_, out2, s2 := runProg(t, twoPass.Reordered, string(test))
-		_, outR, sR := runProg(t, ref.Reordered, string(test))
-		if out2 != outR {
-			t.Errorf("%s: two-pass output differs from Build", name)
-		}
-		if s2.Insts != sR.Insts || s2.CondBranches != sR.CondBranches {
-			t.Errorf("%s: two-pass counts differ: insts %d vs %d, branches %d vs %d",
-				name, s2.Insts, sR.Insts, s2.CondBranches, sR.CondBranches)
+		if got, want := twoPass.Reordered.Dump(), ref.Reordered.Dump(); got != want {
+			t.Errorf("%s: two-pass program differs from Build\ntwo-pass:\n%s\nBuild:\n%s", name, got, want)
 		}
 	}
 }
@@ -64,30 +68,31 @@ func TestTwoPassMatchesBuild(t *testing.T) {
 func TestProfileRoundTrip(t *testing.T) {
 	w, _ := workload.Named("lex")
 	opts := Options{Switch: lower.SetIII, Optimize: true, CommonSuccessor: true}
-	ins, err := Instrument(w.Source, opts)
+	front, err := BuildFrontend(w.Source, opts.Frontend())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, orProf, err := ins.Train(w.Train())
+	tp, err := TrainStage(front, w.Train(), opts.Detection())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteProfile(&buf, prof, orProf); err != nil {
+	if err := WriteProfile(&buf, tp); err != nil {
 		t.Fatal(err)
 	}
-	seqs, ors, err := core.ReadProfiles(bytes.NewReader(buf.Bytes()))
+	back, err := ReadProfile(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seqs) != len(prof.Seqs) {
-		t.Errorf("round trip lost sequences: %d vs %d", len(seqs), len(prof.Seqs))
+	if back.NumSeqs != tp.NumSeqs || back.NumOrSeqs != tp.NumOrSeqs {
+		t.Errorf("round trip changed the detection shape: %d/%d vs %d/%d",
+			back.NumSeqs, back.NumOrSeqs, tp.NumSeqs, tp.NumOrSeqs)
 	}
-	if len(ors) != len(orProf.Seqs) {
-		t.Errorf("round trip lost or-sequences: %d vs %d", len(ors), len(orProf.Seqs))
+	if tp.NumOrSeqs == 0 {
+		t.Error("lex under -common-succ detected no or-sequences; the or-profile path is untested")
 	}
-	for id, sp := range prof.Seqs {
-		got := seqs[id]
+	for id, sp := range tp.SeqProfiles {
+		got := back.SeqProfiles[id]
 		if got == nil || got.Total != sp.Total || len(got.Counts) != len(sp.Counts) {
 			t.Fatalf("sequence %d mangled", id)
 		}
@@ -97,10 +102,15 @@ func TestProfileRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for id, sp := range orProf.Seqs {
-		got := ors[id]
+	for id, sp := range tp.OrSeqProfiles {
+		got := back.OrSeqProfiles[id]
 		if got == nil || got.Total != sp.Total || got.N != sp.N {
 			t.Fatalf("or-sequence %d mangled", id)
+		}
+		for i := range sp.Combos {
+			if got.Combos[i] != sp.Combos[i] {
+				t.Fatalf("or-sequence %d combo %d changed", id, i)
+			}
 		}
 	}
 }
@@ -109,10 +119,11 @@ func TestReadProfilesErrors(t *testing.T) {
 	bad := []string{
 		"bogus 1 total 2 counts 1 1",
 		"seq x total 2 counts 1 1",
-		"seq 1 total 3 counts 1 1",     // sum mismatch
-		"seq 1 total 2 combos 1 1",     // wrong keyword
-		"orseq 1 total 3 combos 1 1 1", // not a power of two
-		"seq 1 sum 2 counts 1 1",       // bad structure
+		"seq 1 total 3 counts 1 1",                           // sum mismatch
+		"seq 1 total 2 combos 1 1",                           // wrong keyword
+		"orseq 1 total 3 combos 1 1 1",                       // not a power of two
+		"seq 1 sum 2 counts 1 1",                             // bad structure
+		"seq 1 total 2 counts 1 1\nseq 1 total 0 counts 0 0", // duplicate ID
 	}
 	for _, src := range bad {
 		if _, _, err := core.ReadProfiles(strings.NewReader(src)); err == nil {
@@ -126,12 +137,31 @@ func TestReadProfilesErrors(t *testing.T) {
 	}
 }
 
+// A stored profile that disagrees with what the second pass re-detects
+// must fail the stage check, whatever the disagreement.
 func TestFinalizeRejectsMismatchedProfile(t *testing.T) {
 	w, _ := workload.Named("wc")
+	sortW, _ := workload.Named("sort")
 	opts := Options{Switch: lower.SetI, Optimize: true}
-	// A profile with the wrong arm count for sequence 0.
-	seqs := map[int]*core.SeqProfile{0: {Counts: []uint64{1}, Total: 1}}
-	if _, err := Finalize(w.Source, opts, seqs, nil); err == nil {
-		t.Error("mismatched profile accepted")
+	good := firstPass(t, w, opts)
+	if _, err := secondPass(w, opts, good); err != nil {
+		t.Fatalf("wc's own profile rejected: %v", err)
+	}
+	if !strings.HasPrefix(string(good), "seq 0 ") {
+		t.Fatalf("wc profile does not start with sequence 0:\n%s", good)
+	}
+	_, rest, _ := strings.Cut(string(good), "\n")
+	for name, prof := range map[string]string{
+		"empty":   "",
+		"foreign": string(firstPass(t, sortW, opts)),
+		// Sequence 0 with a single count: wc's sequence 0 has more arms.
+		"wrong-arms": "seq 0 total 1 counts 1\n" + rest,
+		// Every line kept, but sequence 0 renamed to an undetected ID.
+		"undetected": strings.Replace(string(good), "seq 0 ", "seq 99 ", 1),
+	} {
+		_, err := secondPass(w, opts, []byte(prof))
+		if err == nil || !strings.Contains(err.Error(), "stage mismatch") {
+			t.Errorf("%s profile: got %v, want a stage mismatch", name, err)
+		}
 	}
 }
