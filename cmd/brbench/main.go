@@ -322,6 +322,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 				}
 				fmt.Fprintf(stderr, "\n")
 			}
+			if st.Sims+st.BaselinesReused > 0 {
+				fmt.Fprintf(stderr, "brbench: sims: %d run (%d baselines reused)\n", st.Sims, st.BaselinesReused)
+			}
 			if st.DecodedOps > 0 {
 				fmt.Fprintf(stderr, "brbench: superinstructions: %d fused sites absorbing %d of %d decoded ops (%.1f%% static coverage) across fresh builds\n",
 					st.FusedSites, st.FusedOps, st.DecodedOps, 100*float64(st.FusedOps)/float64(st.DecodedOps))

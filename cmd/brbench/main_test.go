@@ -267,18 +267,18 @@ func TestUnknownWorkloadListsRoster(t *testing.T) {
 
 func TestShardFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-shard", "0/2"},                            // -shard without -export
-		{"-shard", "2/2", "-export", "x.json"},       // index out of range
-		{"-shard", "0-2", "-export", "x.json"},       // malformed
-		{"-shard", "0/2/9", "-export", "x.json"},     // trailing junk
-		{"-shard", "-1/2", "-export", "x.json"},      // negative
-		{"-merge", "a.json", "-export", "b.json"},    // merge+export
-		{"-merge", "a.json", "-shard", "0/2"},        // merge+shard
-		{"-export", "x.json", "-table", "4"},         // export renders nothing
-		{"-ablation", "-json", "x.json"},             // ablation+json
-		{"-cache-gc", "1h"},                          // gc without a cache dir
-		{"-cache-gc", "-1h", "-cache-dir", t.TempDir()}, // negative age
-		{"-store-url", "not a url", "-table", "4"},   // unusable store URL
+		{"-shard", "0/2"},                                      // -shard without -export
+		{"-shard", "2/2", "-export", "x.json"},                 // index out of range
+		{"-shard", "0-2", "-export", "x.json"},                 // malformed
+		{"-shard", "0/2/9", "-export", "x.json"},               // trailing junk
+		{"-shard", "-1/2", "-export", "x.json"},                // negative
+		{"-merge", "a.json", "-export", "b.json"},              // merge+export
+		{"-merge", "a.json", "-shard", "0/2"},                  // merge+shard
+		{"-export", "x.json", "-table", "4"},                   // export renders nothing
+		{"-ablation", "-json", "x.json"},                       // ablation+json
+		{"-cache-gc", "1h"},                                    // gc without a cache dir
+		{"-cache-gc", "-1h", "-cache-dir", t.TempDir()},        // negative age
+		{"-store-url", "not a url", "-table", "4"},             // unusable store URL
 		{"-merge", filepath.Join(t.TempDir(), "missing.json")}, // unreadable shard
 	}
 	for _, args := range cases {
@@ -384,9 +384,10 @@ func TestCacheGCFlag(t *testing.T) {
 	}
 }
 
-// The ablation study must run through the shared engine and render.
+// The ablation study must run through the shared engine, render, and
+// measure each workload's baseline once.
 func TestAblationViaEngine(t *testing.T) {
-	out, _, code := capture(t, "-q", "-ablation", "-workloads", "wc,sort")
+	out, errOut, code := capture(t, "-ablation", "-workloads", "wc,sort")
 	if code != 0 {
 		t.Fatalf("exited %d", code)
 	}
@@ -394,5 +395,10 @@ func TestAblationViaEngine(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation table missing %q:\n%s", want, out)
 		}
+	}
+	// Ten reordered sims, and one baseline sim per workload shared by
+	// its five variants.
+	if want := "brbench: sims: 12 run (8 baselines reused)\n"; !strings.Contains(errOut, want) {
+		t.Errorf("stderr missing %q:\n%s", want, errOut)
 	}
 }

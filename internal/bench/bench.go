@@ -69,29 +69,33 @@ func PctChange(before, after uint64) float64 {
 	return 100 * (float64(after)/float64(before) - 1)
 }
 
-// RunStaged builds and measures one workload under a full pipeline
+// runStaged builds and measures one workload under a full pipeline
 // configuration (ablation variants and the Section 10 extension
-// included) through a stage cache: the frontend and training stages are
-// shared with every other build of the same configuration, and only the
-// finalize stage runs per variant.
-func RunStaged(cache *pipeline.StageCache, w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
-	b, err := cache.Build(w.Source, TrainInput(w, opts), opts)
+// included) through the engine's stage cache: the frontend and training
+// stages are shared with every other build of the same configuration,
+// and only the finalize stage runs per variant.
+func (e *Engine) runStaged(w workload.Workload, opts pipeline.Options) (*ProgramRun, error) {
+	b, err := e.stages.Build(w.Source, TrainInput(w, opts), opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v): %w", w.Name, opts.Switch, err)
 	}
-	return measureBuild(w, opts, b)
+	return e.measureBuild(w, opts, b)
 }
 
 // measureBuild runs both executables of a finished build on the test
 // input and assembles the ProgramRun every table and figure consumes.
-func measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult) (*ProgramRun, error) {
+// The baseline measurement comes from the engine's baseline memo.
+func (e *Engine) measureBuild(w workload.Workload, opts pipeline.Options, b *pipeline.BuildResult) (*ProgramRun, error) {
 	set := opts.Switch
 	test := w.Test()
-	base, err := sim.Run(b.Baseline, test, nil)
+	base, err := e.baseline(b, test)
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v) baseline: %w", w.Name, set, err)
 	}
 	reord, err := sim.Run(b.Reordered, test, nil)
+	e.mu.Lock()
+	e.stats.Sims++
+	e.mu.Unlock()
 	if err != nil {
 		return nil, fmt.Errorf("%s (set %v) reordered: %w", w.Name, set, err)
 	}

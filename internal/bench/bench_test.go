@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"branchreorder/internal/lower"
-	"branchreorder/internal/pipeline"
 	"branchreorder/internal/workload"
 )
 
@@ -21,9 +20,9 @@ func miniSuite(t *testing.T) *Suite {
 			if !ok {
 				t.Fatalf("workload %s missing", name)
 			}
-			r, err := RunStaged(pipeline.NewStageCache(), w, BaseOptions(set))
+			r, err := NewEngine(1, nil).runStaged(w, BaseOptions(set))
 			if err != nil {
-				t.Fatalf("RunStaged(%s, %v): %v", name, set, err)
+				t.Fatalf("runStaged(%s, %v): %v", name, set, err)
 			}
 			s.Runs[set] = append(s.Runs[set], r)
 		}
@@ -46,7 +45,7 @@ func TestPctChange(t *testing.T) {
 
 func TestRunChecksOutputs(t *testing.T) {
 	w, _ := workload.Named("wc")
-	r, err := RunStaged(pipeline.NewStageCache(), w, BaseOptions(lower.SetI))
+	r, err := NewEngine(1, nil).runStaged(w, BaseOptions(lower.SetI))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +14,9 @@ import (
 	"branchreorder/internal/bench/store"
 	"branchreorder/internal/bench/storenet"
 	"branchreorder/internal/lower"
+	"branchreorder/internal/memo"
 	"branchreorder/internal/pipeline"
+	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
 
@@ -56,6 +60,11 @@ type Engine struct {
 	// profile records, letting warm caches skip training runs even for
 	// Transform combinations that miss the whole-build tier.
 	stages *pipeline.StageCache
+	// baselines memoizes baseline measurements by frontend key and test
+	// input. Every variant built from one frontend shares its Baseline
+	// program, so the ablation grid and the profile study measure each
+	// (frontend, test input) pair once instead of once per variant.
+	baselines *memo.Cache[*sim.Measurement]
 
 	mu    sync.Mutex // guards cache, stats, and progress writes
 	cache map[Key]*entry
@@ -84,6 +93,10 @@ func NewEngine(jobs int, progress io.Writer) *Engine {
 		sem:      make(chan struct{}, jobs),
 		cache:    map[Key]*entry{},
 		stages:   pipeline.NewStageCache(),
+		// The evaluation matrix has 51 distinct (frontend, test input)
+		// pairs; the bound leaves room while keeping a long-lived
+		// engine's memo finite.
+		baselines: memo.New[*sim.Measurement](96),
 	}
 	e.stages.Profiles = profileTier{e}
 	return e
@@ -272,7 +285,7 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 	e.mu.Unlock()
 	e.logf("building %-8s heuristic set %v%s\n", w.Name, opts.Switch, optsSuffix(opts))
 	start := time.Now()
-	ent.run, ent.err = RunStaged(e.stages, w, opts)
+	ent.run, ent.err = e.runStaged(w, opts)
 	if ent.err == nil {
 		elapsed := time.Since(start).Seconds()
 		e.mu.Lock()
@@ -309,6 +322,24 @@ func (e *Engine) Get(ctx context.Context, w workload.Workload, opts pipeline.Opt
 		}
 	}
 	return ent.run, ent.err
+}
+
+// baseline returns the measurement of b.Baseline on test from the
+// baseline memo, running it only for the first build of its frontend.
+func (e *Engine) baseline(b *pipeline.BuildResult, test []byte) (*sim.Measurement, error) {
+	digest := sha256.Sum256(test)
+	key := b.FrontendKey + " " + hex.EncodeToString(digest[:])
+	m, hit, err := e.baselines.Get(key, func() (*sim.Measurement, error) {
+		return sim.Run(b.Baseline, test, nil)
+	})
+	e.mu.Lock()
+	if hit {
+		e.stats.BaselinesReused++
+	} else {
+		e.stats.Sims++
+	}
+	e.mu.Unlock()
+	return m, err
 }
 
 // profileTier adapts the engine's disk and remote tiers into the stage

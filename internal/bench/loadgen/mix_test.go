@@ -31,16 +31,16 @@ func TestParseMix(t *testing.T) {
 
 func TestParseMixErrors(t *testing.T) {
 	for _, in := range []string{
-		"",                  // empty
-		"   ",               // blank
-		"get=1,,put=2",      // empty component
-		"get",               // no weight
-		"get=",              // empty weight
-		"get=x",             // non-numeric
-		"get=-1",            // negative
-		"get=1,get=2",       // repeated class
-		"fetch=1",           // unknown class
-		"get=0,put=0",       // nothing positive
+		"",             // empty
+		"   ",          // blank
+		"get=1,,put=2", // empty component
+		"get",          // no weight
+		"get=",         // empty weight
+		"get=x",        // non-numeric
+		"get=-1",       // negative
+		"get=1,get=2",  // repeated class
+		"fetch=1",      // unknown class
+		"get=0,put=0",  // nothing positive
 	} {
 		if _, err := ParseMix(in); err == nil {
 			t.Errorf("ParseMix(%q) succeeded, want error", in)

@@ -18,11 +18,11 @@ import (
 func TestExactModeMatchesPlainBuild(t *testing.T) {
 	ws := subset(t, "wc", "sort")
 	for _, w := range ws {
-		plain, err := RunStaged(pipeline.NewStageCache(), w, BaseOptions(lower.SetII))
+		plain, err := NewEngine(1, nil).runStaged(w, BaseOptions(lower.SetII))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := RunStaged(pipeline.NewStageCache(), w, ProfileStudyOptions(profile.DriftCross, 1, 7, 0))
+		ref, err := NewEngine(1, nil).runStaged(w, ProfileStudyOptions(profile.DriftCross, 1, 7, 0))
 		if err != nil {
 			t.Fatal(err)
 		}

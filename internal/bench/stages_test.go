@@ -12,7 +12,8 @@ import (
 // The ablation grid is the staged pipeline's reason to exist: five
 // variants of one workload must share one frontend and two training runs
 // (the four CommonSuccessor=false variants share one, "+common-succ"
-// needs its own).
+// needs its own), and one baseline measurement: every variant's
+// Baseline is the shared frontend program, measured on one test input.
 func TestAblationGridSharesStages(t *testing.T) {
 	e := NewEngine(4, nil)
 	rows, err := RunAblationWith(context.Background(), e, lower.SetIII, []string{"wc"})
@@ -32,6 +33,9 @@ func TestAblationGridSharesStages(t *testing.T) {
 	}
 	if st.TrainRuns != 2 {
 		t.Errorf("training runs: %d, want 2 (one per detection config)", st.TrainRuns)
+	}
+	if st.Sims != nvar+1 || st.BaselinesReused != nvar-1 {
+		t.Errorf("sims: %d run, %d baselines reused; want %d and %d", st.Sims, st.BaselinesReused, nvar+1, nvar-1)
 	}
 	if st.FrontendHits == 0 || st.TrainHits == 0 {
 		t.Errorf("no stage hits recorded: %+v", st)

@@ -56,6 +56,12 @@ type TierStats struct {
 	FusedOps   int `json:"fusedOps,omitempty"`
 	DecodedOps int `json:"decodedOps,omitempty"`
 
+	// Measurement counters: simulations actually executed by fresh
+	// builds, and baseline measurements a build took from the engine's
+	// memo instead of simulating its baseline again.
+	Sims            int `json:"sims,omitempty"`
+	BaselinesReused int `json:"baselinesReused,omitempty"`
+
 	// BuildSeconds is the wall-clock cost of the jobs behind Builds,
 	// keyed by workload and summed over every configuration built for
 	// it. Cache hits add nothing, so a BENCH trajectory over exports
@@ -87,6 +93,8 @@ func (s *TierStats) Add(o TierStats) {
 	s.FusedSites += o.FusedSites
 	s.FusedOps += o.FusedOps
 	s.DecodedOps += o.DecodedOps
+	s.Sims += o.Sims
+	s.BaselinesReused += o.BaselinesReused
 	for w, sec := range o.BuildSeconds {
 		if s.BuildSeconds == nil {
 			s.BuildSeconds = make(map[string]float64, len(o.BuildSeconds))

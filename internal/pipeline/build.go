@@ -10,8 +10,16 @@ import (
 // per-sequence decisions.
 type BuildResult struct {
 	// Baseline has all conventional optimizations applied and no
-	// reordering — the "Original" measurements of Tables 4-8.
+	// reordering — the "Original" measurements of Tables 4-8. It is the
+	// frontend product's program itself, shared with every other build
+	// of the same frontend, so it is read-only: clone it before
+	// mutating, as with FrontendProduct.Prog.
 	Baseline *ir.Program
+	// FrontendKey is the content address of the frontend product
+	// Baseline belongs to: builds with equal keys share one Baseline,
+	// so one measurement of it on an input serves them all. Set by
+	// StageCache.Build; empty from an uncached Build.
+	FrontendKey string
 	// Reordered additionally has the branch-reordering transformation
 	// applied, trained on the training input.
 	Reordered *ir.Program

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash"
 	"sync"
+
+	"branchreorder/internal/memo"
 )
 
 // StageCache memoizes the staged build pipeline's cacheable stages:
@@ -17,7 +19,7 @@ import (
 // detection config) instead of one per variant.
 //
 // Lookups are single-flight: concurrent builds that need the same stage
-// share one computation, the losers blocking on the winner. Both maps are
+// share one computation, the losers blocking on the winner. Both memos are
 // bounded (LRU eviction), so a long-lived cache cannot grow without
 // limit; an evicted stage simply recomputes on next use.
 //
@@ -31,14 +33,11 @@ type StageCache struct {
 	// the first Build.
 	Profiles ProfileStore
 
-	mu     sync.Mutex
-	limit  int
-	fronts map[string]*stageEntry[*FrontendProduct]
-	trains map[string]*stageEntry[*TrainProduct]
-	// frontUse and trainUse order keys least-recently-used first.
-	frontUse []string
-	trainUse []string
-	stats    StageStats
+	fronts *memo.Cache[*FrontendProduct]
+	trains *memo.Cache[*TrainProduct]
+
+	mu    sync.Mutex // guards stats
+	stats StageStats
 }
 
 // ProfileStore is a persistent tier for stage-2 training products —
@@ -83,15 +82,7 @@ type StageStats struct {
 	ProfileMergeHits int
 }
 
-// stageEntry is one single-flight slot. done is closed once val/err are
-// final.
-type stageEntry[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-// stageLimit bounds each stage map of a cache: enough for the full
+// stageLimit bounds each stage memo of a cache: enough for the full
 // evaluation matrix (17 workloads x 3 sets) with room to spare, small
 // enough that a long-lived engine cannot hoard programs without bound.
 const stageLimit = 96
@@ -100,9 +91,8 @@ const stageLimit = 96
 // per stage.
 func NewStageCache() *StageCache {
 	return &StageCache{
-		limit:  stageLimit,
-		fronts: map[string]*stageEntry[*FrontendProduct]{},
-		trains: map[string]*stageEntry[*TrainProduct]{},
+		fronts: memo.New[*FrontendProduct](stageLimit),
+		trains: memo.New[*TrainProduct](stageLimit),
 	}
 }
 
@@ -142,52 +132,21 @@ func keySection(h hash.Hash, name string, data []byte) {
 	h.Write(data)
 }
 
-// touch moves key to the most-recently-used end of use, appending it if
-// absent, and returns the updated order.
-func touch(use []string, key string) []string {
-	for i, k := range use {
-		if k == key {
-			return append(append(use[:i:i], use[i+1:]...), key)
-		}
-	}
-	return append(use, key)
-}
-
 // Frontend returns the stage-1 product for (src, fo), computing it at
 // most once per cached lifetime. The returned product is immutable;
 // clone its program before mutating.
 func (c *StageCache) Frontend(src string, fo FrontendOptions) (*FrontendProduct, error) {
-	key := frontendKey(src, fo)
+	front, hit, err := c.fronts.Get(frontendKey(src, fo), func() (*FrontendProduct, error) {
+		return BuildFrontend(src, fo)
+	})
 	c.mu.Lock()
-	if ent, ok := c.fronts[key]; ok {
+	if hit {
 		c.stats.FrontendHits++
-		c.frontUse = touch(c.frontUse, key)
-		c.mu.Unlock()
-		<-ent.done
-		return ent.val, ent.err
-	}
-	ent := &stageEntry[*FrontendProduct]{done: make(chan struct{})}
-	c.fronts[key] = ent
-	c.frontUse = touch(c.frontUse, key)
-	c.stats.FrontendRuns++
-	if len(c.fronts) > c.limit {
-		c.evictFrontLocked()
+	} else {
+		c.stats.FrontendRuns++
 	}
 	c.mu.Unlock()
-
-	ent.val, ent.err = BuildFrontend(src, fo)
-	close(ent.done)
-	if ent.err != nil {
-		// Errors are not products: drop the entry so a later lookup
-		// retries instead of replaying a stale failure.
-		c.mu.Lock()
-		if c.fronts[key] == ent {
-			delete(c.fronts, key)
-			c.frontUse = remove(c.frontUse, key)
-		}
-		c.mu.Unlock()
-	}
-	return ent.val, ent.err
+	return front, err
 }
 
 // Train returns the stage-2 product for (src, train, fo, d), running the
@@ -195,34 +154,15 @@ func (c *StageCache) Frontend(src string, fo FrontendOptions) (*FrontendProduct,
 // the ProfileStore (when attached) before computing; fresh products are
 // written back to it.
 func (c *StageCache) Train(src string, train []byte, fo FrontendOptions, d DetectOptions) (*TrainProduct, error) {
-	key := trainKey(frontendKey(src, fo), train, d)
-	c.mu.Lock()
-	if ent, ok := c.trains[key]; ok {
-		c.stats.TrainHits++
-		c.trainUse = touch(c.trainUse, key)
-		c.mu.Unlock()
-		<-ent.done
-		return ent.val, ent.err
-	}
-	ent := &stageEntry[*TrainProduct]{done: make(chan struct{})}
-	c.trains[key] = ent
-	c.trainUse = touch(c.trainUse, key)
-	if len(c.trains) > c.limit {
-		c.evictTrainLocked()
-	}
-	c.mu.Unlock()
-
-	ent.val, ent.err = c.train(src, train, fo, d)
-	close(ent.done)
-	if ent.err != nil {
+	tp, hit, err := c.trains.Get(trainKey(frontendKey(src, fo), train, d), func() (*TrainProduct, error) {
+		return c.train(src, train, fo, d)
+	})
+	if hit {
 		c.mu.Lock()
-		if c.trains[key] == ent {
-			delete(c.trains, key)
-			c.trainUse = remove(c.trainUse, key)
-		}
+		c.stats.TrainHits++
 		c.mu.Unlock()
 	}
-	return ent.val, ent.err
+	return tp, err
 }
 
 // train computes one stage-2 product: persistent tier first, then the
@@ -278,7 +218,8 @@ func (c *StageCache) train(src string, train []byte, fo FrontendOptions, d Detec
 
 // Build runs the full staged pipeline through the cache: stage 1 and
 // stage 2 are shared with every other build of the same source, stage 3
-// always runs. The result is byte-identical to an uncached Build.
+// always runs. The result is byte-identical to an uncached Build, and
+// its FrontendKey names the shared frontend product its Baseline is.
 func (c *StageCache) Build(src string, train []byte, o Options) (*BuildResult, error) {
 	front, err := c.Frontend(src, o.Frontend())
 	if err != nil {
@@ -288,43 +229,10 @@ func (c *StageCache) Build(src string, train []byte, o Options) (*BuildResult, e
 	if err != nil {
 		return nil, err
 	}
-	return FinalizeStages(front, tp, o)
-}
-
-// evictFrontLocked drops the least-recently-used completed frontend.
-// In-flight entries are skipped: evicting one would detach waiters from
-// the single-flight slot. c.mu must be held.
-func (c *StageCache) evictFrontLocked() {
-	for _, key := range c.frontUse {
-		ent := c.fronts[key]
-		select {
-		case <-ent.done:
-			delete(c.fronts, key)
-			c.frontUse = remove(c.frontUse, key)
-			return
-		default:
-		}
+	b, err := FinalizeStages(front, tp, o)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func (c *StageCache) evictTrainLocked() {
-	for _, key := range c.trainUse {
-		ent := c.trains[key]
-		select {
-		case <-ent.done:
-			delete(c.trains, key)
-			c.trainUse = remove(c.trainUse, key)
-			return
-		default:
-		}
-	}
-}
-
-func remove(use []string, key string) []string {
-	for i, k := range use {
-		if k == key {
-			return append(use[:i:i], use[i+1:]...)
-		}
-	}
-	return use
+	b.FrontendKey = frontendKey(src, o.Frontend())
+	return b, nil
 }

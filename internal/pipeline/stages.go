@@ -67,6 +67,7 @@ func (o Options) Detection() DetectOptions {
 // FrontendProduct is the cached stage-1 result. Prog is immutable by
 // contract: every consumer must ir.CloneProgram it before mutating
 // (detection instruments blocks in place, reordering rewrites them).
+// Finalize hands it out as BuildResult.Baseline under the same contract.
 // SwitchKinds is likewise shared and must be treated as read-only.
 type FrontendProduct struct {
 	Prog        *ir.Program
@@ -264,7 +265,7 @@ func FinalizeStages(front *FrontendProduct, tp *TrainProduct, o Options) (*Build
 		kinds[k] = v
 	}
 	out := &BuildResult{
-		Baseline:    ir.CloneProgram(front.Prog),
+		Baseline:    front.Prog,
 		SwitchKinds: kinds,
 		Sequences:   det.seqs,
 		OrSequences: det.orSeqs,

@@ -8,13 +8,17 @@ import (
 
 	"branchreorder/internal/core"
 	"branchreorder/internal/lower"
+	"branchreorder/internal/memo"
+	"branchreorder/internal/sim"
 	"branchreorder/internal/workload"
 )
 
 // buildPair builds one configuration twice — through the shared cache
 // and as a fresh, uncached Build — and fails unless the outputs are
 // byte-identical and the cached frontend program is unchanged, so no
-// consumer of a shared stage product ever mutates it.
+// consumer of a shared stage product ever mutates it. The cached
+// build's Baseline is that shared program, so measuring it (sim.Run,
+// StaticInsts) must leave it unchanged too.
 func buildPair(t *testing.T, cache *StageCache, src string, train []byte, o Options) *BuildResult {
 	t.Helper()
 	front, err := cache.Frontend(src, o.Frontend())
@@ -42,8 +46,15 @@ func buildPair(t *testing.T, cache *StageCache, src string, train []byte, o Opti
 	if got, want := fmt.Sprintf("%+v", staged.OrResults), fmt.Sprintf("%+v", fresh.OrResults); got != want {
 		t.Fatalf("cached or-results differ: %s vs %s", got, want)
 	}
+	if staged.Baseline != front.Prog {
+		t.Fatal("cached build does not share the frontend program as its Baseline")
+	}
+	if _, err := sim.Run(staged.Baseline, train, nil); err != nil {
+		t.Fatalf("measure baseline: %v", err)
+	}
+	StaticInsts(staged.Baseline, 3)
 	if front.Prog.Dump() != frontDump {
-		t.Fatal("building mutated the cached frontend program")
+		t.Fatal("building or measuring mutated the cached frontend program")
 	}
 	return staged
 }
@@ -251,7 +262,7 @@ func TestStageCacheEviction(t *testing.T) {
 		t.Fatal("wc workload missing")
 	}
 	cache := NewStageCache()
-	cache.limit = 1
+	cache.fronts = memo.New[*FrontendProduct](1)
 	sets := []lower.HeuristicSet{lower.SetI, lower.SetII, lower.SetIII}
 	for _, set := range sets {
 		if _, err := cache.Frontend(w.Source, FrontendOptions{Switch: set, Optimize: true}); err != nil {

@@ -10,8 +10,24 @@ import "fmt"
 // (branchID, taken) event. The update rule is bit-for-bit the Bimodal
 // one, so mispredict counts are identical; Bimodal stays as the
 // reference implementation and the one-predictor API.
+//
+// A bank built by NewBankFor also knows the stream's ID range and
+// simulates each alias class once; see NewBankFor.
 type Bank struct {
-	preds []bankPred
+	preds []bankPred // one per spec, in spec order
+
+	// reps holds one representative per alias class of a NewBankFor
+	// bank (nil for NewBank), and classOf maps each spec to its class.
+	// A representative shares its first member's table.
+	reps    []bankPred
+	classOf []int
+	// n bounds the IDs the classes were formed over: [0, n).
+	n int
+	// live is what Observe updates: reps while collapsed, else preds.
+	// A NewBank bank is never collapsed; a NewBankFor bank is until an
+	// ID outside [0, n) splits it.
+	live      []bankPred
+	collapsed bool
 
 	// Branches is the number of events observed — the same for every
 	// predictor in the bank.
@@ -89,6 +105,42 @@ func NewBank(specs []Spec) *Bank {
 	return b
 }
 
+// NewBankFor builds a bank for a stream whose branch IDs lie in [0, n),
+// such as a linearized program's 0..NextBranchID()-1. It simulates one
+// representative per alias class instead of every table: two specs
+// alias over [0, n) when their counters have the same width and either
+// both tables have at least n entries (each ID then has its own counter
+// in both) or both have the same size (the same IDs share counters in
+// both). Members of a class see identical counter histories, so each
+// reports its representative's count.
+//
+// The bank stays exact for any stream: the first ID outside [0, n)
+// splits it back into one table per spec, each rebuilt from its
+// representative's state, and Reset restores the classes.
+func NewBankFor(specs []Spec, n int) *Bank {
+	b := NewBank(specs)
+	n = max(n, 0)
+	type class struct{ bits, entries int }
+	index := map[class]int{}
+	b.classOf = make([]int, len(specs))
+	for i, s := range specs {
+		c := class{s.Bits, s.Entries}
+		if s.Entries >= n {
+			c.entries = -1
+		}
+		k, ok := index[c]
+		if !ok {
+			k = len(b.reps)
+			index[c] = k
+			b.reps = append(b.reps, b.preds[i])
+		}
+		b.classOf[i] = k
+	}
+	b.n = n
+	b.live, b.collapsed = b.reps, true
+	return b
+}
+
 // NewTable6Bank builds the full Table-6 sweep bank.
 func NewTable6Bank() *Bank { return NewBank(Table6Specs()) }
 
@@ -98,17 +150,38 @@ func (b *Bank) Len() int { return len(b.preds) }
 // Name identifies predictor i, e.g. "(0,2)x2048".
 func (b *Bank) Name(i int) string { return b.preds[i].name }
 
+// of returns the state that holds predictor i's count: its alias
+// class's representative while the bank is collapsed.
+func (b *Bank) of(i int) *bankPred {
+	if b.collapsed {
+		return &b.reps[b.classOf[i]]
+	}
+	return &b.preds[i]
+}
+
 // MispredictsOf reports predictor i's mispredicted branches.
-func (b *Bank) MispredictsOf(i int) uint64 { return b.preds[i].mispredicts }
+func (b *Bank) MispredictsOf(i int) uint64 { return b.of(i).mispredicts }
 
 // Mispredicts returns every predictor's mispredict count keyed by name —
 // the map sim.Measurement carries.
 func (b *Bank) Mispredicts() map[string]uint64 {
 	out := make(map[string]uint64, len(b.preds))
 	for i := range b.preds {
-		out[b.preds[i].name] = b.preds[i].mispredicts
+		out[b.preds[i].name] = b.of(i).mispredicts
 	}
 	return out
+}
+
+// split gives every spec its own table again, copied from its class
+// representative. Counters at indices of n or more were never touched,
+// so copying the shorter of two tables of a size class loses nothing.
+func (b *Bank) split() {
+	for i := range b.preds {
+		p, rep := &b.preds[i], &b.reps[b.classOf[i]]
+		copy(p.table, rep.table)
+		p.mispredicts = rep.mispredicts
+	}
+	b.live, b.collapsed = b.preds, false
 }
 
 // Observe records one executed branch in every predictor of the bank.
@@ -116,11 +189,14 @@ func (b *Bank) Mispredicts() map[string]uint64 {
 // ints and every Table-6 size is a power of two, so indexing is a mask;
 // the general case falls back to Bimodal's modulo rule.
 func (b *Bank) Observe(id int, taken bool) {
+	if b.collapsed && uint(id) >= uint(b.n) {
+		b.split()
+	}
 	b.Branches++
 	if id >= 0 {
 		u := uint32(id)
-		for i := range b.preds {
-			p := &b.preds[i]
+		for i := range b.live {
+			p := &b.live[i]
 			var idx uint32
 			if p.pow2 {
 				idx = u & p.mask
@@ -141,8 +217,8 @@ func (b *Bank) Observe(id int, taken bool) {
 		}
 		return
 	}
-	for i := range b.preds {
-		p := &b.preds[i]
+	for i := range b.live {
+		p := &b.live[i]
 		idx := id % p.entries
 		if idx < 0 {
 			idx += p.entries
@@ -161,7 +237,8 @@ func (b *Bank) Observe(id int, taken bool) {
 	}
 }
 
-// Reset restores initial counters and clears counts.
+// Reset restores initial counters, clears counts and, for a NewBankFor
+// bank, restores the alias classes.
 func (b *Bank) Reset() {
 	b.Branches = 0
 	for i := range b.preds {
@@ -170,5 +247,12 @@ func (b *Bank) Reset() {
 		for j := range p.table {
 			p.table[j] = p.init
 		}
+	}
+	for i := range b.reps {
+		b.reps[i].mispredicts = 0
+	}
+	b.live, b.collapsed = b.preds, b.reps != nil
+	if b.collapsed {
+		b.live = b.reps
 	}
 }

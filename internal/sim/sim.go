@@ -60,8 +60,10 @@ type Options struct {
 // Execution is on the flat-decoded fast engine (interp.DecodeWith +
 // interp.FastMachine). With the default sweep the whole predictor battery
 // is simulated by one predictor.Bank pass per branch instead of 14
-// separate Bimodal observations; explicit predictors keep the Bimodal
-// fan-out so tests can instrument individual tables.
+// separate Bimodal observations, and the bank knows the program's branch
+// IDs (0..NextBranchID()-1), so it updates one table per alias class;
+// explicit predictors keep the Bimodal fan-out so tests can instrument
+// individual tables.
 func Run(prog *ir.Program, input []byte, preds []*predictor.Bimodal) (*Measurement, error) {
 	return RunWith(prog, input, preds, Options{})
 }
@@ -71,7 +73,7 @@ func RunWith(prog *ir.Program, input []byte, preds []*predictor.Bimodal, opts Op
 	var bank *predictor.Bank
 	var onBranch func(id int, taken bool)
 	if preds == nil {
-		bank = predictor.NewTable6Bank()
+		bank = predictor.NewBankFor(predictor.Table6Specs(), prog.NextBranchID())
 		onBranch = bank.Observe
 	} else {
 		for _, p := range preds {
